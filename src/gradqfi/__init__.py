@@ -43,7 +43,9 @@ from .errors import (
     NonFiniteCoordinate,
     NonNormalizedState,
     OutOfRange,
+    OutputError,
     SearchSpaceTooLarge,
+    SelfCheckFailed,
     SpectrumNotPositive,
     SupportTooLarge,
     ValidationError,
@@ -112,7 +114,7 @@ __all__ = [
     "InvalidProfile", "NonNormalizedState", "SupportTooLarge",
     "DimensionTooLarge", "NegativeTime", "ZeroTrajectories",
     "SearchSpaceTooLarge", "FlatResponse", "DegenerateGeometry", "NoNoise",
-    "SpectrumNotPositive",
+    "SpectrumNotPositive", "SelfCheckFailed", "OutputError",
     # qfi
     "FisherReport", "qfi_general", "qfi_pure", "qfi_max_entangled",
     "qfi_max_separable", "qfi_dfs_subspace", "qfi_dfs_max", "qfi_noisy_ghz",

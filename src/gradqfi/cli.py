@@ -1,6 +1,13 @@
 """Command-line front end: parameter ingestion, scenario dispatch, and
 bit-stable CSV/JSON emission of reports, sweeps, and reproduction targets.
 
+Three tables own the interface.  _FLAGS holds every flag's kind, default,
+help text and size bound; the parser, the config-file reader and the range
+check all read it.  _COMMANDS holds every command's handler, help text and
+the defaults that beat the flag table's.  _TARGET_DEFAULTS holds the
+`reproduce` targets and their defaults.  A setting resolves as: flag, then
+config file, then target default, then command default, then table default.
+
 Determinism contract: the same command line (same flags, same seed)
 produces byte-identical output across runs and across thread counts.
 CSV floats use the shortest round-trip decimal form (repr); JSON objects
@@ -16,11 +23,12 @@ import json
 import math
 import os
 import sys
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import (
+    STATE_NAMES,
     ChainConfig,
     PhysParams,
     SparseState,
@@ -28,7 +36,7 @@ from .core import (
     make_chain,
     make_named_state,
 )
-from .errors import ComputationError, ValidationError
+from .errors import ComputationError, OutputError, ValidationError
 from .measurement import (
     classical_fisher,
     jx_distribution,
@@ -57,6 +65,8 @@ from .qfi import (
     qfi_pure,
 )
 from .scenarios import (
+    OBJECTIVES,
+    PLACEMENT_KINDS,
     PlacementSpec,
     TableOne,
     brute_force_placement_search,
@@ -71,73 +81,58 @@ from .scenarios import (
 
 CSV_MAGIC = "# gradqfi v1"
 
-COMMANDS = (
-    "qfi", "cfi", "parity", "noise-scan", "tcrit",
-    "reproduce", "validate", "placement-search",
-)
-TARGETS = ("fig3", "fig4", "fig5a", "fig5b", "table1")
-SCENARIO_NAMES = ("known-b0", "unknown-b0", "noisy")
 
-# flag metadata: long name -> (python kind, help text); the config file
-# uses the same names, flags override file values
-_INT_FLAGS = {
-    "n": "number of qubits",
-    "k": "excitation number for odf/dicke states (default n//2)",
-    "m": "branch size for the psi-m state",
-    "n-traj": "Monte Carlo trajectory count",
-    "seed": "64-bit RNG seed",
-    "grid-points": "grid points per qubit for placement-search",
-    "points": "number of samples on the scan axis",
-    "n-max": "largest qubit count for the fig5 sweeps",
-}
-_FLOAT_FLAGS = {
-    "length": "chain interval length L in meters",
-    "x0": "reference position x0 in meters",
-    "theta": "relative phase for the ghz-theta state, radians",
-    "gamma": "gyromagnetic ratio gamma (rad/s/T)",
-    "gamma-prime": "noise coupling gamma' (rad/s/T)",
-    "b0": "offset field B0 at x0 (T)",
-    "grad": "field gradient G (T/m)",
-    "t": "probing time in seconds",
-    "delta-e": "noise fluctuation strength Delta E (T)",
-    "tau-c": "noise correlation time tau_c in seconds",
-    "t-max": "upper end of a time scan in seconds",
-    "gamma-t": "sets gamma to this value and t = 1 (conflicts with --gamma/--t)",
-}
-_BOOL_FLAGS = {
-    "dimensionless": "dimensionless mode: sets gamma = t = 1",
-    "factor-out-gamma-t": "report QFI divided by (gamma t)^2",
-    "normalized-index": "index-normalized tanh/tan placements (argument 2i/n - 1)",
-}
-_CHOICE_FLAGS = {
-    "placement": ("equidistant", "all-at-end", "half-half", "tanh", "tan", "explicit"),
-    "state": ("ghz", "ghz-theta", "product", "odf", "dicke", "psi-m"),
-    "format": ("csv", "json"),
-    "scenario": SCENARIO_NAMES,
-    "objective": (
-        "entangled-known-b0", "separable-known-b0", "dfs-max", "product-steady"
+class _Flag(NamedTuple):
+    kind: type | tuple[str, ...]  # int, float, bool, str, or the allowed choices
+    default: object
+    help: str | None
+    bounds: tuple[int, int] | None = None  # inclusive (min, max) of a size flag
+
+
+# long name -> flag; the config file uses the same names, and this order is
+# the order of --help
+_FLAGS = {
+    "n": _Flag(int, 4, "number of qubits", (1, 10_000)),
+    "k": _Flag(int, None, "excitation number for odf/dicke states (default n//2)"),
+    "m": _Flag(int, None, "branch size for the psi-m state"),
+    "n-traj": _Flag(int, 10000, "Monte Carlo trajectory count", (1, 1_000_000)),
+    "seed": _Flag(int, 12345, "64-bit RNG seed", (0, (1 << 64) - 1)),
+    "grid-points": _Flag(int, 5, "grid points per qubit for placement-search"),
+    "points": _Flag(int, None, "number of samples on the scan axis", (2, 1_000_000)),
+    "n-max": _Flag(int, 1000, "largest qubit count for the fig5 sweeps", (2, 10_000)),
+    "length": _Flag(float, 1.0, "chain interval length L in meters"),
+    "x0": _Flag(float, 0.0, "reference position x0 in meters"),
+    "theta": _Flag(float, 0.0, "relative phase for the ghz-theta state, radians"),
+    "gamma": _Flag(float, 1.0, "gyromagnetic ratio gamma (rad/s/T)"),
+    "gamma-prime": _Flag(float, 1.0, "noise coupling gamma' (rad/s/T)"),
+    "b0": _Flag(float, 0.0, "offset field B0 at x0 (T)"),
+    "grad": _Flag(float, 0.0, "field gradient G (T/m)"),
+    "t": _Flag(float, 1.0, "probing time in seconds"),
+    "delta-e": _Flag(float, 0.0, "noise fluctuation strength Delta E (T)"),
+    "tau-c": _Flag(float, 1.0, "noise correlation time tau_c in seconds"),
+    "t-max": _Flag(float, None, "upper end of a time scan in seconds"),
+    "gamma-t": _Flag(
+        float, None, "sets gamma to this value and t = 1 (conflicts with --gamma/--t)"
     ),
-    "observable": ("parity-x", "jx"),
-}
-_STR_FLAGS = {
-    "positions": "comma-separated qubit positions (with --placement explicit)",
-    "out": "output file path (default: stdout; reproduce: <target>.csv)",
-    "config": "flat key=value config file mirroring the flags",
-}
-
-_GLOBAL_DEFAULTS = {
-    "n": 4, "length": 1.0, "x0": 0.0, "placement": "equidistant",
-    "positions": None, "normalized_index": False, "state": "ghz",
-    "k": None, "m": None, "theta": 0.0,
-    "gamma": 1.0, "gamma_prime": 1.0, "b0": 0.0, "grad": 0.0, "t": 1.0,
-    "delta_e": 0.0, "tau_c": 1.0,
-    "n_traj": 10000, "seed": 12345,
-    "scenario": "known-b0", "objective": "dfs-max", "observable": "parity-x",
-    "grid_points": 5, "points": None, "t_max": None, "n_max": 1000,
-    "format": None, "out": None,
-    "dimensionless": False, "factor_out_gamma_t": False, "gamma_t": None,
+    "dimensionless": _Flag(bool, False, "dimensionless mode: sets gamma = t = 1"),
+    "factor-out-gamma-t": _Flag(bool, False, "report QFI divided by (gamma t)^2"),
+    "normalized-index": _Flag(
+        bool, False, "index-normalized tanh/tan placements (argument 2i/n - 1)"
+    ),
+    "placement": _Flag(PLACEMENT_KINDS, "equidistant", None),
+    "state": _Flag(STATE_NAMES, "ghz", None),
+    "format": _Flag(("csv", "json"), "json", None),
+    "scenario": _Flag(("known-b0", "unknown-b0", "noisy"), "known-b0", None),
+    "objective": _Flag(OBJECTIVES, "dfs-max", None),
+    "observable": _Flag(("parity-x", "jx"), "parity-x", None),
+    "positions": _Flag(
+        str, None, "comma-separated qubit positions (with --placement explicit)"
+    ),
+    "out": _Flag(str, None, "output file path (default: stdout; reproduce: <target>.csv)"),
+    "config": _Flag(str, None, "flat key=value config file mirroring the flags"),
 }
 
+# reproduce target -> defaults that beat the command's and the flag table's
 _TARGET_DEFAULTS = {
     "fig3": {
         "n": 50, "length": 1.0, "gamma_prime": 2.0 * math.pi * 50.0,
@@ -149,9 +144,10 @@ _TARGET_DEFAULTS = {
     "table1": {"n": 4, "length": 3.0},
 }
 
-_FORMAT_DEFAULTS = {
-    "qfi": "json", "cfi": "json", "parity": "json", "tcrit": "json",
-    "placement-search": "json", "noise-scan": "csv", "reproduce": "csv",
+_KIND_WORDS = {int: "an integer", float: "a number", bool: "a boolean"}
+_BOOL_WORDS = {
+    "true": True, "1": True, "yes": True, "on": True,
+    "false": False, "0": False, "no": False, "off": False,
 }
 
 
@@ -189,8 +185,19 @@ def _deliver(text: str, out_path: str | None) -> None:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
-        raise RuntimeError(f"--out {out_path}: {exc}") from exc
+        raise OutputError(f"--out {out_path}: {exc}") from exc
     print(f"wrote {out_path}")
+
+
+def _emit(cfg: RunConfig, columns: Sequence[str], rows: Sequence[Sequence],
+          payload: dict) -> int:
+    """Deliver rows as CSV, or payload plus the parameter echo as JSON."""
+    if cfg.format == "csv":
+        text = emit_csv(columns, rows)
+    else:
+        text = emit_json({**payload, "params_echo": cfg.echo()})
+    _deliver(text, cfg.out)
+    return 0
 
 
 # ----------------------------------------------------------------------
@@ -210,17 +217,11 @@ def _parse_positions(text: str) -> tuple[float, ...]:
     return values
 
 
-def _parse_bool(name: str, text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ValidationError(f"config key {name}: expected a boolean, got {text!r}")
-
-
 def _read_config_file(path: str) -> dict:
-    """Flat key=value file; keys use the flag spelling without dashes prefix."""
+    """Flat key=value file; keys use the flag spelling without dashes prefix.
+
+    Returns the values keyed by attribute name (underscores for dashes).
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
@@ -238,62 +239,47 @@ def _read_config_file(path: str) -> dict:
         key, _, text = stripped.partition("=")
         key = key.strip()
         text = text.strip()
-        if key in _INT_FLAGS:
-            try:
-                values[key] = int(text)
-            except ValueError as exc:
-                raise ValidationError(
-                    f"config key {key}: expected an integer, got {text!r}"
-                ) from exc
-        elif key in _FLOAT_FLAGS:
-            try:
-                values[key] = float(text)
-            except ValueError as exc:
-                raise ValidationError(
-                    f"config key {key}: expected a number, got {text!r}"
-                ) from exc
-        elif key in _BOOL_FLAGS:
-            values[key] = _parse_bool(key, text)
-        elif key in _CHOICE_FLAGS:
-            if text not in _CHOICE_FLAGS[key]:
-                raise ValidationError(
-                    f"config key {key}: must be one of {_CHOICE_FLAGS[key]}, got {text!r}"
-                )
-            values[key] = text
-        elif key == "positions":
-            values[key] = _parse_positions(text)
-        elif key == "out":
-            values[key] = text
-        else:
+        if key not in _FLAGS or key == "config":
             raise ValidationError(f"--config {path}: unknown key {key!r}")
+        kind = _FLAGS[key].kind
+        value = text
+        if isinstance(kind, tuple) and text not in kind:
+            raise ValidationError(
+                f"config key {key}: must be one of {kind}, got {text!r}"
+            )
+        if kind in _KIND_WORDS:
+            try:
+                value = _BOOL_WORDS[text.lower()] if kind is bool else kind(text)
+            except (KeyError, ValueError) as exc:
+                raise ValidationError(
+                    f"config key {key}: expected {_KIND_WORDS[kind]}, got {text!r}"
+                ) from exc
+        values[key.replace("-", "_")] = value
     return values
 
 
 class RunConfig:
-    """Fully resolved run settings: flag > config file > target default > default."""
+    """Fully resolved run settings: flag > config file > target default >
+    command default > flag-table default."""
 
     def __init__(self, command: str, target: str | None, args: argparse.Namespace):
         self.command = command
         self.target = target
+        flags = vars(args)
         file_values = _read_config_file(args.config) if args.config else {}
-
-        def pick(name: str):
-            flag = name.replace("_", "-")
-            cli_value = getattr(args, name, None)
-            if cli_value is not None:
-                return cli_value
-            if flag in file_values:
-                return file_values[flag]
-            if target is not None and name in _TARGET_DEFAULTS.get(target, {}):
-                return _TARGET_DEFAULTS[target][name]
-            return _GLOBAL_DEFAULTS[name]
-
-        for name in _GLOBAL_DEFAULTS:
-            setattr(self, name, pick(name))
-
-        explicit = lambda name: getattr(args, name, None) is not None or (
-            name.replace("_", "-") in file_values
+        layers = (
+            flags, file_values, _TARGET_DEFAULTS.get(target, {}),
+            _COMMANDS[command].defaults,
         )
+        for flag, spec in _FLAGS.items():
+            name = flag.replace("-", "_")
+            value = next(
+                (layer[name] for layer in layers if layer.get(name) is not None),
+                spec.default,
+            )
+            setattr(self, name, value)
+
+        explicit = lambda name: flags.get(name) is not None or name in file_values
         if self.gamma_t is not None:
             if explicit("gamma") or explicit("t"):
                 raise ValidationError(
@@ -310,12 +296,12 @@ class RunConfig:
             self.gamma = 1.0
             self.t = 1.0
 
-        if isinstance(self.positions, str):
+        if self.positions is not None:
             self.positions = _parse_positions(self.positions)
-        if self.positions is not None and self.placement != "explicit":
-            if explicit("placement") or command == "reproduce":
-                raise ValidationError("--positions needs --placement explicit")
-            self.placement = "explicit"
+            if self.placement != "explicit":
+                if explicit("placement") or command == "reproduce":
+                    raise ValidationError("--positions needs --placement explicit")
+                self.placement = "explicit"
         if self.placement == "explicit":
             if self.positions is None:
                 raise ValidationError("--placement explicit needs --positions")
@@ -326,16 +312,15 @@ class RunConfig:
                 )
             self.n = len(self.positions)
 
-        if self.n < 1:
-            raise ValidationError("n must be ≥ 1")
-        if self.n_traj < 1:
-            raise ValidationError(f"--n-traj must be ≥ 1, got {self.n_traj}")
-        if not 0 <= self.seed < (1 << 64):
-            raise ValidationError(f"--seed must fit in 64 bits, got {self.seed}")
-        if command == "validate" and not explicit("n_traj"):
-            self.n_traj = 20000
-        if self.format is None:
-            self.format = _FORMAT_DEFAULTS.get(command, "json")
+        for flag, spec in _FLAGS.items():
+            value = getattr(self, flag.replace("-", "_"))
+            if spec.bounds is None or value is None:
+                continue
+            low, high = spec.bounds
+            if value < low:
+                raise ValidationError(f"--{flag} must be ≥ {low}, got {value}")
+            if value > high:
+                raise ValidationError(f"--{flag} must be ≤ {high}, got {value}")
         if command == "reproduce" and self.format != "csv":
             raise ValidationError("reproduce emits CSV only; drop --format")
 
@@ -371,9 +356,6 @@ class RunConfig:
             return make_named_state("psi-m", self.n, m=self.m_value())
         return make_named_state(self.state, self.n, theta=self.theta)
 
-    def ensemble(self) -> TrajectoryEnsemble:
-        return TrajectoryEnsemble(self.n_traj, seed=self.seed)
-
     def echo(self) -> dict:
         keys = (
             "command", "scenario", "state", "k", "m", "theta",
@@ -381,12 +363,9 @@ class RunConfig:
             "gamma", "b0", "grad", "t", "gamma_prime", "delta_e", "tau_c",
             "observable", "seed", "n_traj",
         )
-        data = {}
-        for key in keys:
-            value = getattr(self, key, None) if key != "command" else self.command
-            if key == "positions" and value is not None:
-                value = list(value)
-            data[key] = value
+        data = {key: getattr(self, key) for key in keys}
+        if data["positions"] is not None:
+            data["positions"] = list(data["positions"])
         return data
 
 
@@ -460,20 +439,9 @@ def cmd_qfi(cfg: RunConfig) -> int:
 
 
 def _emit_report(cfg: RunConfig, report: FisherReport) -> int:
-    if cfg.format == "csv":
-        text = emit_csv(
-            ("value", "path", "crb_variance"),
-            ((report.value, report.path, report.crb_variance),),
-        )
-    else:
-        text = emit_json({
-            "value": report.value,
-            "path": report.path,
-            "crb_variance": report.crb_variance,
-            "params_echo": cfg.echo(),
-        })
-    _deliver(text, cfg.out)
-    return 0
+    columns = ("value", "path", "crb_variance")
+    row = (report.value, report.path, report.crb_variance)
+    return _emit(cfg, columns, (row,), dict(zip(columns, row)))
 
 
 def _measured_state(cfg: RunConfig, params: PhysParams) -> State:
@@ -507,54 +475,34 @@ def cmd_parity(cfg: RunConfig) -> int:
         err_prop = (1.0 - value * value) / (grad * grad)
     else:
         err_prop = None
-    if cfg.format == "csv":
-        text = emit_csv(
-            ("label", "probability", "derivative"),
-            [(label, p, dp) for label, p, dp in dist.outcomes],
-        )
-    else:
-        text = emit_json({
-            "value": value,
-            "gradient": grad,
-            "error_propagation": err_prop,
-            "outcomes": [
-                {"label": label, "probability": p, "derivative": dp}
-                for label, p, dp in dist.outcomes
-            ],
-            "params_echo": cfg.echo(),
-        })
-    _deliver(text, cfg.out)
-    return 0
+    columns = ("label", "probability", "derivative")
+    return _emit(cfg, columns, dist.outcomes, {
+        "value": value,
+        "gradient": grad,
+        "error_propagation": err_prop,
+        "outcomes": [dict(zip(columns, outcome)) for outcome in dist.outcomes],
+    })
 
 
 def cmd_noise_scan(cfg: RunConfig) -> int:
     params = cfg.params()
     model = NoiseModel.from_params(params)
-    points = cfg.points if cfg.points is not None else 101
-    if points < 2:
-        raise ValidationError(f"--points must be ≥ 2, got {points}")
     t_max = cfg.t_max if cfg.t_max is not None else 3.0 * params.tau_c
     if not (math.isfinite(t_max) and t_max > 0):
         raise ValidationError(f"--t-max must be > 0, got {t_max!r}")
     rows = []
-    for i in range(points):
-        t = t_max * (i / (points - 1))
+    for i in range(cfg.points):
+        t = t_max * (i / (cfg.points - 1))
         rows.append((
             t,
             correlation_integral(model, t),
             coherence_factor(model, t, cfg.n),
         ))
     columns = ("t", "correlation", "coherence")
-    if cfg.format == "csv":
-        text = emit_csv(columns, rows)
-    else:
-        text = emit_json({
-            "columns": list(columns),
-            "rows": [list(row) for row in rows],
-            "params_echo": cfg.echo(),
-        })
-    _deliver(text, cfg.out)
-    return 0
+    return _emit(cfg, columns, rows, {
+        "columns": list(columns),
+        "rows": [list(row) for row in rows],
+    })
 
 
 def cmd_tcrit(cfg: RunConfig) -> int:
@@ -562,20 +510,9 @@ def cmd_tcrit(cfg: RunConfig) -> int:
     params = cfg.params()
     t_crit = critical_time(config, params)
     t_opt, qfi_opt = optimal_time_ghz(config, params)
-    if cfg.format == "csv":
-        text = emit_csv(
-            ("t_crit", "t_opt", "qfi_opt"),
-            ((t_crit, t_opt, qfi_opt),),
-        )
-    else:
-        text = emit_json({
-            "t_crit": t_crit,
-            "t_opt": t_opt,
-            "qfi_opt": qfi_opt,
-            "params_echo": cfg.echo(),
-        })
-    _deliver(text, cfg.out)
-    return 0
+    columns = ("t_crit", "t_opt", "qfi_opt")
+    row = (t_crit, t_opt, qfi_opt)
+    return _emit(cfg, columns, (row,), dict(zip(columns, row)))
 
 
 def cmd_placement_search(cfg: RunConfig) -> int:
@@ -584,26 +521,21 @@ def cmd_placement_search(cfg: RunConfig) -> int:
         x_start=0.0, params=cfg.params(),
     )
     kind = "all-at-end" if cfg.objective.endswith("known-b0") else "half-half"
-    if cfg.format == "csv":
-        text = emit_csv(
-            ("objective", "kind", "value", "crb_variance", "positions"),
-            ((
-                cfg.objective, kind, report.value, report.crb_variance,
-                ";".join(repr(x) for x in config.positions),
-            ),),
-        )
-    else:
-        text = emit_json({
+    row = (
+        cfg.objective, kind, report.value, report.crb_variance,
+        ";".join(repr(x) for x in config.positions),
+    )
+    return _emit(
+        cfg, ("objective", "kind", "value", "crb_variance", "positions"), (row,),
+        {
             "objective": cfg.objective,
             "kind": kind,
             "value": report.value,
             "path": report.path,
             "crb_variance": report.crb_variance,
             "positions": list(config.positions),
-            "params_echo": cfg.echo(),
-        })
-    _deliver(text, cfg.out)
-    return 0
+        },
+    )
 
 
 # ----------------------------------------------------------------------
@@ -643,18 +575,14 @@ def cmd_reproduce(cfg: RunConfig) -> int:
         _deliver(_table_text(table), txt_path)
         return 0
     if target == "fig3":
-        points = cfg.points if cfg.points is not None else 20001
         sweep = sweep_fig3(
-            cfg.chain(), cfg.params(),
-            points=points, t_max=cfg.t_max if cfg.t_max is not None else 0.02,
+            cfg.chain(), cfg.params(), points=cfg.points, t_max=cfg.t_max,
             factor_out_gamma_t=cfg.factor_out_gamma_t,
         )
     elif target == "fig4":
         sweep = sweep_fig4(cfg.n, cfg.length, cfg.gamma * cfg.t)
     else:
         case = "a" if target == "fig5a" else "b"
-        if cfg.n_max < 2:
-            raise ValidationError(f"--n-max must be ≥ 2, got {cfg.n_max}")
         sweep = sweep_fig5(range(2, cfg.n_max + 1), cfg.length, case, cfg.gamma * cfg.t)
     _deliver(emit_csv(sweep.columns, sweep.rows), out_path)
     return 0
@@ -665,8 +593,28 @@ def cmd_reproduce(cfg: RunConfig) -> int:
 # ----------------------------------------------------------------------
 
 
-def _rel_dev(a: float, b: float, scale: float) -> float:
-    return abs(a - b) / max(abs(a), abs(b), scale)
+def _pure(state: SparseState, config: ChainConfig, params: PhysParams):
+    return qfi_pure(state, config, params), state
+
+
+# check name, one probe per excitation sector k = 0..n?, and
+# (config, params, k) -> (closed-form report, probe state for qfi_general)
+_CLOSED_FORM_CHECKS = (
+    ("ghz", False, lambda c, p, k: _pure(make_named_state("ghz", c.n), c, p)),
+    ("max-entangled", False, lambda c, p, k: qfi_max_entangled(c, p)),
+    ("product", False, lambda c, p, k: (
+        qfi_max_separable(c, p), make_named_state("product", c.n))),
+    ("odf", True, lambda c, p, k: (
+        qfi_dfs_subspace(c, p, k)[0], make_named_state("odf", c.n, k=k))),
+    ("dicke", True, lambda c, p, k: (
+        qfi_dicke(c, p, k), make_named_state("dicke", c.n, k=k))),
+    ("psim", True, lambda c, p, k: _pure(make_named_state("psi-m", c.n, m=k), c, p)),
+    ("steady", False, lambda c, p, k: (
+        qfi_product_steady(c, p), steady_twirl(make_named_state("product", c.n)))),
+    ("noisy-ghz", False, lambda c, p, k: (
+        qfi_noisy_ghz(c, p),
+        apply_channel(make_named_state("ghz", c.n), NoiseModel.from_params(p), p.t))),
+)
 
 
 def cmd_validate(cfg: RunConfig) -> int:
@@ -678,7 +626,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     """
     tol = 1e-9
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    chains: list[tuple[ChainConfig, PhysParams]] = []
+    chains: list[tuple[ChainConfig, PhysParams, float]] = []
     for n in range(2, 7):
         for _ in range(2):
             xs = np.sort(rng.uniform(-1.0, 1.0, size=n))
@@ -692,126 +640,43 @@ def cmd_validate(cfg: RunConfig) -> int:
                 delta_e=float(rng.uniform(0.5, 1.5)),
                 tau_c=float(rng.uniform(0.5, 2.0)),
             )
-            chains.append((make_chain([float(x) for x in xs], x0), params))
+            config = make_chain([float(x) for x in xs], x0)
+            gt = params.gamma * params.t
+            scale = max(gt * gt * sum(abs(f) for f in config.f_values) ** 2, 1.0)
+            chains.append((config, params, scale))
 
     lines: list[str] = []
     failed: list[str] = []
 
-    def run_check(name: str, pairs: Callable[[], list[tuple[float, float, float]]]):
+    def run_check(name: str, pairs: list[tuple[float, float, float]]):
         worst = 0.0
-        for a, b, scale in pairs():
-            worst = max(worst, _rel_dev(a, b, scale))
+        for a, b, scale in pairs:
+            worst = max(worst, abs(a - b) / max(abs(a), abs(b), scale))
         if worst <= tol:
             lines.append(f"PASS {name}")
         else:
             lines.append(f"FAIL {name} worst_rel={worst:.3e}")
             failed.append(name)
 
-    def scale_of(config: ChainConfig, params: PhysParams) -> float:
-        gt = params.gamma * params.t
-        return max(gt * gt * sum(abs(f) for f in config.f_values) ** 2, 1.0)
+    for name, per_sector, closed_form in _CLOSED_FORM_CHECKS:
+        pairs = []
+        for config, params, scale in chains:
+            for k in range(config.n + 1) if per_sector else (None,):
+                report, probe = closed_form(config, params, k)
+                pairs.append((report.value, qfi_general(probe, config, params).value, scale))
+        run_check(f"closed-form-{name}", pairs)
 
-    def ghz_pairs():
-        out = []
-        for config, params in chains:
-            s = scale_of(config, params)
-            state = make_named_state("ghz", config.n)
-            out.append((qfi_pure(state, config, params).value,
-                        qfi_general(state, config, params).value, s))
-        return out
-
-    def max_entangled_pairs():
-        out = []
-        for config, params in chains:
-            s = scale_of(config, params)
-            report, state = qfi_max_entangled(config, params)
-            out.append((report.value, qfi_general(state, config, params).value, s))
-        return out
-
-    def product_pairs():
-        out = []
-        for config, params in chains:
-            s = scale_of(config, params)
-            state = make_named_state("product", config.n)
-            out.append((qfi_max_separable(config, params).value,
-                        qfi_general(state, config, params).value, s))
-        return out
-
-    def odf_pairs():
-        out = []
-        for config, params in chains:
-            s = scale_of(config, params)
-            for k in range(config.n + 1):
-                state = make_named_state("odf", config.n, k=k)
-                out.append((qfi_dfs_subspace(config, params, k)[0].value,
-                            qfi_general(state, config, params).value, s))
-        return out
-
-    def dicke_pairs():
-        out = []
-        for config, params in chains:
-            s = scale_of(config, params)
-            for k in range(config.n + 1):
-                state = make_named_state("dicke", config.n, k=k)
-                out.append((qfi_dicke(config, params, k).value,
-                            qfi_general(state, config, params).value, s))
-        return out
-
-    def psim_pairs():
-        out = []
-        for config, params in chains:
-            s = scale_of(config, params)
-            for m in range(config.n + 1):
-                state = make_named_state("psi-m", config.n, m=m)
-                out.append((qfi_pure(state, config, params).value,
-                            qfi_general(state, config, params).value, s))
-        return out
-
-    def steady_pairs():
-        out = []
-        for config, params in chains:
-            s = scale_of(config, params)
-            mixed = steady_twirl(make_named_state("product", config.n))
-            out.append((qfi_product_steady(config, params).value,
-                        qfi_general(mixed, config, params).value, s))
-        return out
-
-    def noisy_ghz_pairs():
-        out = []
-        for config, params in chains:
-            s = scale_of(config, params)
-            model = NoiseModel.from_params(params)
-            mixed = apply_channel(make_named_state("ghz", config.n), model, params.t)
-            out.append((qfi_noisy_ghz(config, params).value,
-                        qfi_general(mixed, config, params).value, s))
-        return out
-
-    def parity_cfi_pairs():
-        out = []
-        for config, params in chains:
-            s = scale_of(config, params)
-            ghz = make_named_state("ghz", config.n)
-            out.append((
-                classical_fisher(parity_distribution(ghz, config, params)).value,
-                qfi_pure(ghz, config, params).value, s,
+    pairs = []
+    for config, params, scale in chains:
+        probes = [make_named_state("ghz", config.n)]
+        if config.n % 2 == 0:
+            probes.append(make_named_state("odf", config.n, k=config.n // 2))
+        for probe in probes:
+            pairs.append((
+                classical_fisher(parity_distribution(probe, config, params)).value,
+                qfi_pure(probe, config, params).value, scale,
             ))
-            if config.n % 2 == 0:
-                odf = make_named_state("odf", config.n, k=config.n // 2)
-                out.append((
-                    classical_fisher(parity_distribution(odf, config, params)).value,
-                    qfi_pure(odf, config, params).value, s,
-                ))
-        return out
-
-    run_check("closed-form-ghz", ghz_pairs)
-    run_check("closed-form-max-entangled", max_entangled_pairs)
-    run_check("closed-form-product", product_pairs)
-    run_check("closed-form-odf", odf_pairs)
-    run_check("closed-form-dicke", dicke_pairs)
-    run_check("closed-form-psim", psim_pairs)
-    run_check("closed-form-steady", steady_pairs)
-    run_check("closed-form-noisy-ghz", noisy_ghz_pairs)
-    run_check("parity-cfi", parity_cfi_pairs)
+    run_check("parity-cfi", pairs)
 
     # Monte Carlo coherence vs analytic decay, 3 standard-error band
     model = NoiseModel(gamma_prime=0.25, delta_e=1.0, tau_c=1.0)
@@ -848,20 +713,48 @@ def cmd_validate(cfg: RunConfig) -> int:
 # ----------------------------------------------------------------------
 
 
+class _Command(NamedTuple):
+    handler: Callable[[RunConfig], int]
+    help: str
+    defaults: dict  # attribute name -> value; beats the flag table's default
+
+
+_COMMANDS = {
+    "qfi": _Command(cmd_qfi, "quantum Fisher information of a probe state", {}),
+    "cfi": _Command(
+        cmd_cfi, "classical Fisher information of a measured distribution", {}
+    ),
+    "parity": _Command(
+        cmd_parity, "parity expectation value, gradient, and outcome table", {}
+    ),
+    "noise-scan": _Command(
+        cmd_noise_scan, "correlation integral and coherence factor over time",
+        {"format": "csv", "points": 101},
+    ),
+    "tcrit": _Command(
+        cmd_tcrit, "GHZ/decoherence-free crossover and optimal probing time", {}
+    ),
+    "reproduce": _Command(
+        cmd_reproduce, "write a reference figure or table as CSV", {"format": "csv"}
+    ),
+    "validate": _Command(
+        cmd_validate, "run the oracle-equivalence and Monte Carlo self-checks",
+        {"n_traj": 20000},
+    ),
+    "placement-search": _Command(
+        cmd_placement_search, "exhaustive grid search over qubit placements", {}
+    ),
+}
+
+
 def _add_flags(sp: argparse.ArgumentParser) -> None:
-    for name, help_text in _INT_FLAGS.items():
-        sp.add_argument(f"--{name}", type=int, default=None, help=help_text)
-    for name, help_text in _FLOAT_FLAGS.items():
-        sp.add_argument(f"--{name}", type=float, default=None, help=help_text)
-    for name, help_text in _BOOL_FLAGS.items():
-        sp.add_argument(
-            f"--{name}", action="store_const", const=True, default=None,
-            help=help_text,
-        )
-    for name, choices in _CHOICE_FLAGS.items():
-        sp.add_argument(f"--{name}", choices=choices, default=None)
-    for name, help_text in _STR_FLAGS.items():
-        sp.add_argument(f"--{name}", type=str, default=None, help=help_text)
+    for flag, spec in _FLAGS.items():
+        if spec.kind is bool:
+            sp.add_argument(f"--{flag}", action="store_const", const=True, help=spec.help)
+        elif isinstance(spec.kind, tuple):
+            sp.add_argument(f"--{flag}", choices=spec.kind, help=spec.help)
+        else:
+            sp.add_argument(f"--{flag}", type=spec.kind, help=spec.help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -875,34 +768,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "qfi": "quantum Fisher information of a probe state",
-        "cfi": "classical Fisher information of a measured distribution",
-        "parity": "parity expectation value, gradient, and outcome table",
-        "noise-scan": "correlation integral and coherence factor over time",
-        "tcrit": "GHZ/decoherence-free crossover and optimal probing time",
-        "reproduce": "write a reference figure or table as CSV",
-        "validate": "run the oracle-equivalence and Monte Carlo self-checks",
-        "placement-search": "exhaustive grid search over qubit placements",
-    }
-    for command in COMMANDS:
-        sp = sub.add_parser(command, help=descriptions[command])
+    for command, spec in _COMMANDS.items():
+        sp = sub.add_parser(command, help=spec.help)
         if command == "reproduce":
-            sp.add_argument("target", choices=TARGETS)
+            sp.add_argument("target", choices=tuple(_TARGET_DEFAULTS))
         _add_flags(sp)
     return parser
-
-
-_HANDLERS = {
-    "qfi": cmd_qfi,
-    "cfi": cmd_cfi,
-    "parity": cmd_parity,
-    "noise-scan": cmd_noise_scan,
-    "tcrit": cmd_tcrit,
-    "reproduce": cmd_reproduce,
-    "validate": cmd_validate,
-    "placement-search": cmd_placement_search,
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -910,10 +781,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = RunConfig(args.command, getattr(args, "target", None), args)
-        return _HANDLERS[args.command](cfg)
+        return _COMMANDS[args.command].handler(cfg)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ComputationError, RuntimeError) as exc:
+    except ComputationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -168,8 +168,7 @@ class PhysParams:
 
     SI units throughout: gamma in rad/(s*T), b0 in T, grad in T/m, t in
     s, tau_c in s; delta_e is the rms fluctuation strength seen through
-    the noise coupling gamma_prime.  unit_mode is a bookkeeping flag
-    ("si" or "dimensionless"); formulas are identical in both modes.
+    the noise coupling gamma_prime.
     """
 
     gamma: float = 1.0
@@ -179,7 +178,6 @@ class PhysParams:
     gamma_prime: float = 1.0
     delta_e: float = 0.0
     tau_c: float = 1.0
-    unit_mode: str = "si"
 
     def __post_init__(self):
         for name in ("gamma", "b0", "grad", "t", "gamma_prime", "delta_e", "tau_c"):
@@ -194,8 +192,6 @@ class PhysParams:
             raise OutOfRange(f"delta_e must be >= 0, got {self.delta_e!r}")
         if self.tau_c <= 0:
             raise OutOfRange(f"tau_c must be > 0, got {self.tau_c!r}")
-        if self.unit_mode not in ("si", "dimensionless"):
-            raise OutOfRange(f"unit_mode must be 'si' or 'dimensionless', got {self.unit_mode!r}")
 
 
 # ----------------------------------------------------------------------

@@ -83,3 +83,11 @@ class NoNoise(ComputationError):
 
 class SpectrumNotPositive(ComputationError):
     """A density matrix came out with a meaningfully negative eigenvalue."""
+
+
+class SelfCheckFailed(ComputationError):
+    """An internal cross-check of a result against its closed form failed."""
+
+
+class OutputError(ComputationError):
+    """An output file could not be written."""

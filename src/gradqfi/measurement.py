@@ -39,8 +39,6 @@ from .core import (
 from .errors import DimensionTooLarge, FlatResponse, LengthMismatch, OutOfRange
 from .qfi import FisherReport
 
-OBSERVABLES = ("parity-x",)
-
 _P_FLOOR = 1e-15
 _DP_FLOOR = 1e-12
 
@@ -241,7 +239,6 @@ def error_propagation(
     state: State,
     config: ChainConfig,
     params: PhysParams,
-    observable: str = "parity-x",
 ) -> float:
     """Single-shot estimator variance (error propagation) at this operating point:
 
@@ -252,8 +249,6 @@ def error_propagation(
     this reproduces {1 + [1 - d^2] cot^2 alpha} / [d gamma t sum f]^2,
     which collapses to 1/QFI at the cot(alpha) = 0 point.
     """
-    if observable not in OBSERVABLES:
-        raise OutOfRange(f"observable must be one of {OBSERVABLES}, got {observable!r}")
     value, grad = _parity_value_and_gradient(state, config, params)
     if abs(grad) <= 1e-15:
         raise FlatResponse(

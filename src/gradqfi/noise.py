@@ -46,8 +46,6 @@ SUPPORT_CAP = 1 << 12
 # combined in fixed order), so never derive it from worker counts.
 MC_CHUNK = 8192
 
-SCHEMES = ("exact-integrated-ou",)
-
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -78,25 +76,18 @@ class NoiseModel:
 class TrajectoryEnsemble:
     """Monte Carlo ensemble settings.
 
-    dt = None uses the default step min(tau_c/100, t/100).  Streams are
-    counter-based: trajectory i's draws depend only on (seed, i), so
-    results are independent of chunking and execution order.
+    Streams are counter-based: trajectory i's draws depend only on
+    (seed, i), so results are independent of chunking and execution order.
     """
 
     n_traj: int
     seed: int = 0
-    dt: float | None = None
-    scheme: str = "exact-integrated-ou"
 
     def __post_init__(self):
         if self.n_traj < 1:
             raise ZeroTrajectories(f"n_traj must be >= 1, got {self.n_traj!r}")
         if not 0 <= self.seed < (1 << 64):
             raise OutOfRange(f"seed must fit in 64 bits, got {self.seed!r}")
-        if self.dt is not None and not (self.dt > 0 and math.isfinite(self.dt)):
-            raise OutOfRange(f"dt must be > 0, got {self.dt!r}")
-        if self.scheme not in SCHEMES:
-            raise OutOfRange(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
 
 
 # ----------------------------------------------------------------------
@@ -247,6 +238,15 @@ def _box_muller(u: np.ndarray) -> np.ndarray:
     return z
 
 
+def _step_count(model: NoiseModel, t: float) -> int:
+    """Steps of the grid min(tau_c/100, t/100) over [0, t].
+
+    The update is exact at any step size; this grid fixes the stream
+    layout, so changing it changes every Monte Carlo digit.
+    """
+    return max(1, math.ceil(t / min(model.tau_c / 100.0, t / 100.0)))
+
+
 def _char_function(
     seed: int, n_traj: int, n_steps: int, h: float, model: NoiseModel,
     gamma_prime: float, n_qubits: int,
@@ -317,8 +317,7 @@ def mc_coherence_magnitude(
         raise OutOfRange(f"weight must be >= 0, got {weight!r}")
     if t == 0.0 or weight == 0 or model.delta_e == 0.0 or model.gamma_prime == 0.0:
         return 1.0
-    dt = ens.dt if ens.dt is not None else min(model.tau_c / 100.0, t / 100.0)
-    n_steps = max(1, math.ceil(t / dt))
+    n_steps = _step_count(model, t)
     char = _char_function(
         ens.seed, ens.n_traj, n_steps, t / n_steps, model, model.gamma_prime, weight
     )
@@ -356,8 +355,7 @@ def mc_trajectory_average(
         # noise-free: the average is the evolved pure state itself
         return SpectralState(n, ((1.0, evolve(state, config, params)),))
 
-    dt = ens.dt if ens.dt is not None else min(model.tau_c / 100.0, t / 100.0)
-    n_steps = max(1, math.ceil(t / dt))
+    n_steps = _step_count(model, t)
     char = _char_function(
         ens.seed, ens.n_traj, n_steps, t / n_steps, model, params.gamma_prime, n
     )

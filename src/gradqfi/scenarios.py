@@ -21,7 +21,13 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .core import ChainConfig, FieldProfile, LINEAR, PhysParams, make_chain, make_named_state
-from .errors import DegenerateGeometry, NoNoise, OutOfRange, SearchSpaceTooLarge
+from .errors import (
+    DegenerateGeometry,
+    NoNoise,
+    OutOfRange,
+    SearchSpaceTooLarge,
+    SelfCheckFailed,
+)
 from .noise import NoiseModel, coherence_factor
 from .qfi import (
     FisherReport,
@@ -188,7 +194,7 @@ def optimal_time_ghz(config: ChainConfig, params: PhysParams) -> tuple[float, fl
     small-t (tau_c >> t_opt) optimum of the coherence-weighted response
     d(t) (gamma t)^2 (sum f)^2.  When tau_c >= 100 t_opt the analytic
     pair is cross-checked against a golden-section maximization of that
-    response and a disagreement beyond 0.5% raises RuntimeError.
+    response and a disagreement beyond 0.5% raises SelfCheckFailed.
     """
     rate = config.n * params.gamma_prime * params.delta_e
     if rate == 0.0:
@@ -209,7 +215,7 @@ def optimal_time_ghz(config: ChainConfig, params: PhysParams) -> tuple[float, fl
         t_num = _golden_max(response, 0.1 * t_opt, 10.0 * t_opt)
         v_num = response(t_num)
         if abs(t_num - t_opt) > 0.005 * t_opt or abs(v_num - qfi_opt) > 0.005 * qfi_opt:
-            raise RuntimeError(
+            raise SelfCheckFailed(
                 f"numeric optimum (t={t_num!r}, qfi={v_num!r}) deviates from the "
                 f"analytic pair (t={t_opt!r}, qfi={qfi_opt!r}) by more than 0.5%"
             )
@@ -252,7 +258,7 @@ def brute_force_placement_search(
     optimum (all-at-end for the known-offset objectives, half-half for
     the decoherence-free and steady-state ones) attains the best value
     found; returns that analytic placement with its report.  A grid
-    point beating the analytic optimum raises RuntimeError.
+    point beating the analytic optimum raises SelfCheckFailed.
     """
     if objective not in OBJECTIVES:
         raise OutOfRange(f"objective must be one of {OBJECTIVES}, got {objective!r}")
@@ -292,7 +298,7 @@ def brute_force_placement_search(
         raise OutOfRange("placement comparison needs gamma * t > 0")
     analytic_geom = report.value / (gt * gt)
     if best > analytic_geom * (1.0 + 1e-9) + 1e-12:
-        raise RuntimeError(
+        raise SelfCheckFailed(
             f"grid placement {best_xs!r} with value {best!r} beats the analytic "
             f"{analytic_kind} optimum {analytic_geom!r} for objective {objective!r}"
         )
@@ -491,7 +497,7 @@ def table1(n: int = 4, length: float = 3.0, gamma_t: float = 1.0) -> TableOne:
     forms on the analytically optimal placement; the equidistant column
     evaluates them on the equidistant chain.  Every cell is
     cross-checked against its symbolic expression to relative 1e-12
-    (mismatch raises RuntimeError).  Needs even n: the balanced
+    (mismatch raises SelfCheckFailed).  Needs even n: the balanced
     two-branch symbolic expression assumes the even pair sum.
     """
     if n < 2 or n % 2 != 0:
@@ -556,7 +562,7 @@ def table1(n: int = 4, length: float = 3.0, gamma_t: float = 1.0) -> TableOne:
         ):
             a, b = pair
             if abs(a - b) > 1e-12 * max(abs(a), abs(b), 1e-300):
-                raise RuntimeError(
+                raise SelfCheckFailed(
                     f"table cell {label}/{tag}: value {a!r} deviates from its "
                     f"symbolic expression {b!r} beyond relative 1e-12"
                 )

@@ -2,12 +2,15 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 
 import pytest
 
 from conftest import cli_env
+from gradqfi import ValidationError
+from gradqfi.cli import _COMMANDS, _FLAGS, RunConfig, build_parser
 
 
 def run_cli(*args, cwd=None):
@@ -16,6 +19,12 @@ def run_cli(*args, cwd=None):
         cmd, capture_output=True, text=True, encoding="utf-8", cwd=cwd,
         env=cli_env(),
     )
+
+
+def resolved(*argv):
+    """In-process argument resolution, as main() does it, without running."""
+    args = build_parser().parse_args([str(a) for a in argv])
+    return RunConfig(args.command, getattr(args, "target", None), args)
 
 
 def test_qfi_ghz_reference_value():
@@ -312,3 +321,55 @@ def test_out_file_matches_stdout(tmp_path):
     assert filed.returncode == 0, filed.stderr
     assert filed.stdout.strip() == f"wrote {out}"
     assert out.read_text(encoding="utf-8") == inline.stdout
+
+
+def test_out_into_missing_directory_is_an_output_error(tmp_path):
+    cp = run_cli("qfi", "--out", tmp_path / "missing" / "report.json")
+    assert cp.returncode == 1
+    assert "error: --out" in cp.stderr
+
+
+def test_resolution_order_flag_file_target_command_table(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("points = 11\nn = 6\n", encoding="utf-8")
+    traj = tmp_path / "traj.cfg"
+    traj.write_text("n-traj = 500\n", encoding="utf-8")
+    # fig3 target default, then config file, then flag
+    assert resolved("reproduce", "fig3").points == 20001
+    assert resolved("reproduce", "fig3", "--config", cfg).points == 11
+    assert resolved("reproduce", "fig3", "--config", cfg, "--points", 7).points == 7
+    # a config file beats fig4's target default
+    assert resolved("reproduce", "fig4").n == 100
+    assert resolved("reproduce", "fig4", "--config", cfg).n == 6
+    # validate's command default yields to any explicit value
+    assert resolved("validate").n_traj == 20000
+    assert resolved("validate", "--n-traj", 64).n_traj == 64
+    assert resolved("validate", "--config", traj).n_traj == 500
+    assert resolved("qfi").n_traj == 10000
+    # command defaults beat the flag table's
+    scan = resolved("noise-scan")
+    assert (scan.points, scan.format) == (101, "csv")
+    assert resolved("qfi").format == "json"
+
+
+def test_every_command_help_lists_every_flag(capsys):
+    for command in _COMMANDS:
+        with pytest.raises(SystemExit) as stop:
+            build_parser().parse_args([command, "--help"])
+        assert stop.value.code == 0
+        text = capsys.readouterr().out
+        for flag in _FLAGS:
+            assert re.search(rf"--{flag}[ \]\n]", text), (command, flag)
+
+
+@pytest.mark.parametrize("flag, limit", [
+    ("n", 10_000),
+    ("n-max", 10_000),
+    ("points", 1_000_000),
+    ("n-traj", 1_000_000),
+    ("seed", (1 << 64) - 1),
+])
+def test_size_caps_reject_one_past_the_max(flag, limit):
+    # resolution only: the value is rejected before any work could start
+    with pytest.raises(ValidationError, match=f"--{flag} must be ≤ {limit}, got {limit + 1}"):
+        resolved("noise-scan", f"--{flag}", limit + 1)

@@ -132,8 +132,6 @@ def test_phys_params_validation():
         PhysParams(delta_e=-1.0)
     with pytest.raises(NonFiniteCoordinate):
         PhysParams(b0=float("nan"))
-    with pytest.raises(OutOfRange):
-        PhysParams(unit_mode="cgs")
     params = PhysParams(t=0.0)
     assert params.t == 0.0
 

@@ -404,10 +404,6 @@ def test_flat_response_raises():
     params = PhysParams(b0=0.0, grad=0.0)
     with pytest.raises(FlatResponse):
         error_propagation(make_named_state("ghz", 2), chain, params)
-    with pytest.raises(OutOfRange):
-        error_propagation(
-            make_named_state("ghz", 2), chain, PhysParams(grad=0.3), observable="jz"
-        )
 
 
 def test_theta_for_saturation_zeroes_the_fringe():

@@ -210,10 +210,6 @@ def test_trajectory_ensemble_validation():
         TrajectoryEnsemble(10, seed=-1)
     with pytest.raises(OutOfRange):
         TrajectoryEnsemble(10, seed=1 << 64)
-    with pytest.raises(OutOfRange):
-        TrajectoryEnsemble(10, dt=0.0)
-    with pytest.raises(OutOfRange):
-        TrajectoryEnsemble(10, scheme="euler")
 
 
 def test_mc_coherence_is_deterministic_for_fixed_seed():

@@ -5,14 +5,18 @@ import math
 import numpy as np
 import pytest
 
+import gradqfi.scenarios
 from gradqfi import (
+    ComputationError,
     DegenerateGeometry,
+    FisherReport,
     NoNoise,
     NoiseModel,
     OutOfRange,
     PhysParams,
     PlacementSpec,
     SearchSpaceTooLarge,
+    SelfCheckFailed,
     SweepResult,
     brute_force_placement_search,
     coherence_factor,
@@ -348,6 +352,17 @@ def test_table1_self_check_passes_across_sizes():
         for length in (1.0, 3.0):
             for gt in (1.0, 0.5):
                 table1(n=n, length=length, gamma_t=gt)  # raises on any cell mismatch
+
+
+def test_table1_wrong_closed_form_raises_self_check_failed(monkeypatch):
+    exact = gradqfi.scenarios.qfi_max_separable
+    monkeypatch.setattr(
+        gradqfi.scenarios, "qfi_max_separable",
+        lambda config, params: FisherReport(1.5 * exact(config, params).value, "wrong"),
+    )
+    with pytest.raises(SelfCheckFailed, match="product/optimal"):
+        table1()
+    assert issubclass(SelfCheckFailed, ComputationError)
 
 
 def test_table1_validation():
