@@ -119,12 +119,19 @@ _FLAGS = {
     "normalized-index": _Flag(
         bool, False, "index-normalized tanh/tan placements (argument 2i/n - 1)"
     ),
-    "placement": _Flag(PLACEMENT_KINDS, "equidistant", None),
-    "state": _Flag(STATE_NAMES, "ghz", None),
-    "format": _Flag(("csv", "json"), "json", None),
-    "scenario": _Flag(("known-b0", "unknown-b0", "noisy"), "known-b0", None),
-    "objective": _Flag(OBJECTIVES, "dfs-max", None),
-    "observable": _Flag(("parity-x", "jx"), "parity-x", None),
+    "placement": _Flag(
+        PLACEMENT_KINDS, "equidistant", "qubit layout on [0, length]; explicit takes --positions"
+    ),
+    "state": _Flag(STATE_NAMES, "ghz", "probe state prepared on the chain"),
+    "format": _Flag(("csv", "json"), "json", "output format"),
+    "scenario": _Flag(
+        ("known-b0", "unknown-b0", "noisy"), "known-b0",
+        "offset field calibrated, unknown (one-sector probes only), or dephasing noise",
+    ),
+    "objective": _Flag(OBJECTIVES, "dfs-max", "figure of merit that placement-search maximizes"),
+    "observable": _Flag(
+        ("parity-x", "jx"), "parity-x", "readout: x-basis parity or collective J_x"
+    ),
     "positions": _Flag(
         str, None, "comma-separated qubit positions (with --placement explicit)"
     ),

@@ -42,7 +42,7 @@ from .errors import (
 
 # Sparse states hold at most this many basis terms.
 SPARSE_CAP = 1 << 20
-# Dense 2^n work (general QFI, J_x distributions) is capped here.
+# Dense 2^n work (J_x distributions) is capped here.
 ORACLE_CAP_QUBITS = 12
 
 NORM_TOL = 1e-12
@@ -253,16 +253,10 @@ class SparseState:
     def support_size(self) -> int:
         return len(self.terms)
 
-    def dense_vector(self) -> np.ndarray:
-        """Embed into the full 2^n vector (qubit 1 = most significant bit)."""
-        if self.n_qubits > ORACLE_CAP_QUBITS:
-            raise DimensionTooLarge(
-                f"dense vector needs n_qubits <= {ORACLE_CAP_QUBITS}, got {self.n_qubits}"
-            )
-        vec = np.zeros(1 << self.n_qubits, dtype=np.complex128)
-        for bits, amp in self.terms:
-            vec[int(bits, 2)] = amp
-        return vec
+    @property
+    def eigenpairs(self) -> tuple[tuple[float, "SparseState"], ...]:
+        """The state as a one-term spectral decomposition, like SpectralState's."""
+        return ((1.0, self),)
 
 
 @dataclass(frozen=True)
@@ -527,17 +521,6 @@ def basis_excitations(n_qubits: int) -> np.ndarray:
     shifts = np.arange(n_qubits - 1, -1, -1, dtype=np.uint32)
     bits = (idx[:, None] >> shifts[None, :]) & 1
     return bits.sum(axis=1).astype(np.int64)
-
-
-def basis_eigenvalues(config: ChainConfig) -> np.ndarray:
-    """lambda_I for every dense basis index I of the chain."""
-    n = config.n
-    _check_dense_cap(n)
-    idx = np.arange(1 << n, dtype=np.uint32)
-    shifts = np.arange(n - 1, -1, -1, dtype=np.uint32)
-    bits = (idx[:, None] >> shifts[None, :]) & 1
-    signs = 1.0 - 2.0 * bits
-    return 0.5 * (signs @ config.f_array)
 
 
 # ----------------------------------------------------------------------

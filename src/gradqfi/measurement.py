@@ -30,7 +30,6 @@ from .core import (
     ChainConfig,
     PhysParams,
     SparseState,
-    SpectralState,
     State,
     _lambda_of,
     basis_excitations,
@@ -78,12 +77,6 @@ class OutcomeDistribution:
         return tuple(dp for _, _, dp in self.outcomes)
 
 
-def _eigenpairs(state: State) -> tuple[tuple[float, SparseState], ...]:
-    if isinstance(state, SparseState):
-        return ((1.0, state),)
-    return state.eigenpairs
-
-
 def _evolved_amplitudes(
     vec: SparseState, config: ChainConfig, params: PhysParams
 ) -> tuple[dict[str, complex], dict[str, float]]:
@@ -117,7 +110,7 @@ def _parity_value_and_gradient(
     gt = params.gamma * params.t
     value = 0.0
     grad = 0.0
-    for weight, vec in _eigenpairs(state):
+    for weight, vec in state.eigenpairs:
         amps, lams = _evolved_amplitudes(vec, config, params)
         v = 0j
         g = 0j
@@ -215,7 +208,7 @@ def jx_distribution(
     counts = basis_excitations(n)
     probs = np.zeros(n + 1, dtype=np.float64)
     derivs = np.zeros(n + 1, dtype=np.float64)
-    for weight, vec in _eigenpairs(state):
+    for weight, vec in state.eigenpairs:
         amps, lams = _evolved_amplitudes(vec, config, params)
         dense = np.zeros(1 << n, dtype=np.complex128)
         ddense = np.zeros(1 << n, dtype=np.complex128)

@@ -169,14 +169,9 @@ def steady_twirl(state: State) -> SpectralState:
     Idempotent: twirling a twirled state returns it unchanged.
     """
     n = state.n_qubits
-    if isinstance(state, SparseState):
-        pairs_in: tuple[tuple[float, SparseState], ...] = ((1.0, state),)
-    else:
-        pairs_in = state.eigenpairs
-
     # sector -> list of (outer weight, bits -> amplitude component)
     sectors: dict[int, list[tuple[float, dict[str, complex]]]] = {}
-    for weight, vec in pairs_in:
+    for weight, vec in state.eigenpairs:
         split: dict[int, dict[str, complex]] = {}
         for bits, amp in vec.terms:
             split.setdefault(bits.count("1"), {})[bits] = amp

@@ -4,12 +4,12 @@ All values carry the (gamma*t)^2 prefactor, i.e. they are Fisher
 information per squared unit of the gradient G, so 1/value is directly
 the Cramer-Rao variance bound on an unbiased single-shot estimate.
 
-Two engines plus closed forms:
+One spectral evaluator plus closed forms:
 
-* qfi_general: the full spectral formula on a density matrix, exact for
-  any mixed state but limited to small chains (dense 2^n work).
-* qfi_pure: 4 * variance of the generator on a pure state, evaluated on
-  the sparse support (works for any chain size the state fits).
+* qfi_general: the spectral formula restricted to the joint support of
+  the state's eigenvectors, exact for any pure or mixed state, with no
+  cap on the qubit count (O(r^2 s) for rank r on s basis states).
+* qfi_pure: its rank-1 case, 4 * variance of the generator.
 * closed forms for the standard probe families (GHZ, product, optimal
   decoherence-free states, Dicke, dephased GHZ, steady-state product),
   each O(n) in the chain size.
@@ -24,18 +24,13 @@ import numpy as np
 
 from . import noise as _noise
 from .core import (
-    ORACLE_CAP_QUBITS,
     ChainConfig,
     PhysParams,
     SparseState,
-    SpectralState,
     State,
-    _lambda_of,
-    basis_eigenvalues,
-    basis_excitations,
     make_named_state,
 )
-from .errors import DimensionTooLarge, LengthMismatch, OutOfRange
+from .errors import LengthMismatch, OutOfRange
 
 # Relative spectral-gap cutoff: eigenvalue pairs with combined weight at
 # or below this fraction of the largest weight do not contribute.
@@ -70,74 +65,78 @@ class FisherReport:
         return 1.0 / self.value
 
 
-def _as_eigenpairs(state: State) -> tuple[tuple[float, SparseState], ...]:
-    if isinstance(state, SparseState):
-        return ((1.0, state),)
-    return state.eigenpairs
+def _spectral_qfi(state: State, config: ChainConfig, params: PhysParams) -> float:
+    """QFI of rho = sum_a w_a |a><a| for the generator H_G, on the joint support.
+
+    The r eigenvectors are the rows of V over their joint support of s
+    basis states, and H_ab = sum_I conj(V_aI) lambda_I V_bI.  The value is
+
+        (gamma t)^2 [ sum_ab 2 (w_a - w_b)^2 / (w_a + w_b) |H_ab|^2
+                      + 4 sum_a w_a || H|a> - sum_b H_ba |b> ||^2 ],
+
+    the spectral formula with the kernel of rho summed in closed form (the
+    second term), over pairs with w_a + w_b above EIGEN_GAP_EPS * max(w).
+    The kernel term is an elementwise residual, so a nearly pure spectrum
+    carrying little information does not cancel.  The cost is O(r^2 s).
+
+    H_G = (1/2) sum_i f_i - sum_i f_i n_i with n_i the excitation of qubit
+    i, and the QFI ignores a constant and the sign of the generator, so
+    lambda_I = sum_{i excited} (f_i - c) + c (k_I - k_0), with c = mean(f)
+    and k_0 the excitation count of the first support state.  On a chain
+    far from x0 the large c-term is then exactly zero within one
+    excitation sector instead of cancelling in floating point.
+    """
+    n = config.n
+    if state.n_qubits != n:
+        raise LengthMismatch(f"state has {state.n_qubits} qubits but chain has {n}")
+    pairs = state.eigenpairs
+    index: dict[str, int] = {}  # joint support: bitstring -> column of V
+    cols = [index.setdefault(bits, len(index)) for _, vec in pairs for bits, _ in vec.terms]
+    rows = [a for a, (_, vec) in enumerate(pairs) for _ in vec.terms]
+    v = np.zeros((len(pairs), len(index)), dtype=np.complex128)
+    v[rows, cols] = [amp for _, vec in pairs for _, amp in vec.terms]
+
+    excited = np.frombuffer("".join(index).encode(), dtype=np.uint8).reshape(-1, n) == ord("1")
+    c = float(config.f_array.mean())
+    k = excited.sum(axis=1)
+    # einsum casts the boolean matrix in buffered chunks, never all at once
+    lam = np.einsum("ij,j->i", excited, config.f_array - c) + c * (k - k[0])
+
+    hv = v * lam
+    h = hv @ v.conj().T  # h[a, b] = <b|H_G|a>
+    hv -= h @ v  # now the part of H_G|a> outside the span of the eigenvectors
+    resid = hv.view(np.float64)
+    resid_norm2 = np.einsum("ij,ij->i", resid, resid).tolist()
+    h2 = (h.real**2 + h.imag**2).tolist()
+    # the O(r^2) pair sum in plain Python: small next to the O(r^2 s) products
+    weights = [w for w, _ in pairs]
+    cutoff = EIGEN_GAP_EPS * max(weights)
+    total = 0.0
+    for a, wa in enumerate(weights):
+        if wa > cutoff:
+            total += 4.0 * wa * resid_norm2[a]
+        for b, wb in enumerate(weights):
+            if wa + wb > cutoff:
+                total += 2.0 * (wa - wb) ** 2 / (wa + wb) * h2[a][b]
+    gt = params.gamma * params.t
+    return gt * gt * total
 
 
 def qfi_general(state: State, config: ChainConfig, params: PhysParams) -> FisherReport:
     """QFI of the gradient-encoded state via the spectral formula.
 
-    Builds the dense density matrix, applies the exact evolution phases,
-    diagonalizes, and sums 2|<a|d_G rho|b>|^2/(w_a+w_b) over eigenpairs
-    whose combined weight exceeds EIGEN_GAP_EPS * max(w).  Exact for
-    mixed states; needs n <= ORACLE_CAP_QUBITS.
+    Exact for any pure or mixed state and for any chain size the state
+    fits; see _spectral_qfi.  The evolution commutes with H_G, so the
+    value depends on neither B0 nor G.
     """
-    n = state.n_qubits
-    if n != config.n:
-        raise LengthMismatch(f"state has {n} qubits but chain has {config.n}")
-    if n > ORACLE_CAP_QUBITS:
-        raise DimensionTooLarge(
-            f"general QFI needs n <= {ORACLE_CAP_QUBITS}, got {n}"
-        )
-    dim = 1 << n
-    lam = basis_eigenvalues(config)
-    rho = np.zeros((dim, dim), dtype=np.complex128)
-    for weight, vec in _as_eigenpairs(state):
-        dense = vec.dense_vector()
-        rho += weight * np.outer(dense, dense.conj())
-
-    gt = params.gamma * params.t
-    # The offset-field phase cancels in rho_G (it only depends on the
-    # excitation difference, which commutes with the generator), but we
-    # apply the full phases anyway: QFI must come out B0-independent.
-    phases = gt * (params.b0 * _jz_diagonal(n) + params.grad * lam)
-    u = np.exp(-1j * phases)
-    rho_g = (u[:, None] * u.conj()[None, :]) * rho
-
-    # d_G rho_G: each element picks up -i*gamma*t*(lam_I - lam_J)
-    deriv = (-1j * gt) * (lam[:, None] - lam[None, :]) * rho_g
-
-    w, v = np.linalg.eigh(rho_g)
-    m = v.conj().T @ deriv @ v
-    pair_sum = w[:, None] + w[None, :]
-    mask = pair_sum > EIGEN_GAP_EPS * float(w.max())
-    value = 2.0 * float(np.sum((m.real[mask] ** 2 + m.imag[mask] ** 2) / pair_sum[mask]))
-    return FisherReport(max(value, 0.0), "general")
-
-
-def _jz_diagonal(n: int) -> np.ndarray:
-    return 0.5 * n - basis_excitations(n)
+    return FisherReport(_spectral_qfi(state, config, params), "general")
 
 
 def qfi_pure(state: SparseState, config: ChainConfig, params: PhysParams) -> FisherReport:
-    """QFI of a pure state: (gamma t)^2 * 4 Var(H_G), over the sparse support."""
+    """QFI of a pure state, (gamma t)^2 * 4 Var(H_G): the rank-1 case of qfi_general."""
     if not isinstance(state, SparseState):
         raise OutOfRange("qfi_pure takes a pure SparseState; use qfi_general for mixtures")
-    if state.n_qubits != config.n:
-        raise LengthMismatch(f"state has {state.n_qubits} qubits but chain has {config.n}")
-    f_values = config.f_values
-    mean = 0.0
-    mean_sq = 0.0
-    for bits, amp in state.terms:
-        p = abs(amp) ** 2
-        lam = _lambda_of(bits, f_values)
-        mean += p * lam
-        mean_sq += p * lam * lam
-    var = max(mean_sq - mean * mean, 0.0)
-    gt = params.gamma * params.t
-    return FisherReport(4.0 * gt * gt * var, "pure-variance")
+    return FisherReport(_spectral_qfi(state, config, params), "pure-variance")
 
 
 # ----------------------------------------------------------------------
@@ -258,24 +257,19 @@ def qfi_product_steady(config: ChainConfig, params: PhysParams) -> FisherReport:
 def qfi_dicke(config: ChainConfig, params: PhysParams, k: int) -> FisherReport:
     """QFI of the symmetric Dicke probe with k excitations.
 
-    value = (gamma t)^2 [ sum f^2 - (sum f)^2 (2k-N)^2 / N^2
-            + (sum_{i != j} f_i f_j) ((2k-N)^2 - N) / (N (N-1)) ].
-    Dicke states live in a decoherence-free sector, so this is also
-    their steady-state and noisy value.
+    value = (gamma t)^2 4k(N-k) / (N(N-1)) sum_i (f_i - mean(f))^2.
+    The state lives in one excitation sector, so only the centred profile
+    enters, and a chain far from x0 does not cancel.  Dicke states live
+    in a decoherence-free sector, so this is also their steady-state and
+    noisy value.
     """
     n = config.n
     if not 0 <= k <= n:
         raise OutOfRange(f"k must be in [0, {n}], got {k!r}")
-    f = config.f_array
-    s1 = float(f.sum())
-    s2 = float((f**2).sum())
-    r = float((2 * k - n) ** 2)
     if n == 1:
         # single qubit: both sectors are one-dimensional, no phase info
-        value = _gt2(params) * (s2 - s1 * s1 * r)
-    else:
-        cross = s1 * s1 - s2  # sum_{i != j} f_i f_j
-        value = _gt2(params) * (
-            s2 - s1 * s1 * r / (n * n) + cross * (r - n) / (n * (n - 1))
-        )
-    return FisherReport(max(value, 0.0), "closed-form:dicke")
+        return FisherReport(0.0, "closed-form:dicke")
+    centred = config.f_array - config.f_array.mean()
+    spread = math.fsum((centred * centred).tolist())
+    value = _gt2(params) * 4.0 * k * (n - k) / (n * (n - 1)) * spread
+    return FisherReport(value, "closed-form:dicke")

@@ -34,7 +34,6 @@ from gradqfi import (
     tensor_product,
 )
 from gradqfi.core import (
-    basis_eigenvalues,
     basis_excitations,
     spectral_from_mixture,
     spectral_from_support_matrix,
@@ -163,13 +162,6 @@ def test_sparse_state_validation():
         SparseState(1, (("0", complex(float("nan"), 0.0)),))
 
 
-def test_dense_vector_uses_leftmost_bit_as_most_significant():
-    s = SparseState(2, (("10", 1.0),))
-    vec = s.dense_vector()
-    assert vec[int("10", 2)] == 1.0
-    assert np.count_nonzero(vec) == 1
-
-
 def test_spectral_state_validation():
     up = SparseState(1, (("0", 1.0),))
     down = SparseState(1, (("1", 1.0),))
@@ -211,21 +203,15 @@ def test_hamiltonian_eigenvalue_matches_kron_diagonal(n):
 
 
 def test_basis_arrays_match_bitstring_definitions():
-    rng = np.random.default_rng(7)
-    chain = random_chain(rng, 4)
-    lam = basis_eigenvalues(chain)
     exc = basis_excitations(4)
     for idx in range(16):
         bits = format(idx, "04b")
         assert exc[idx] == excitation_count(bits)
-        assert lam[idx] == pytest.approx(hamiltonian_eigenvalue(chain, bits), rel=1e-12, abs=1e-14)
 
 
 def test_dense_caps_are_enforced():
     with pytest.raises(DimensionTooLarge):
         basis_excitations(13)
-    with pytest.raises(DimensionTooLarge):
-        basis_eigenvalues(make_chain(list(range(13))))
 
 
 def test_bit_complement_flips_eigenvalue_sign():

@@ -159,7 +159,7 @@ def _sum_f(chain):
     return float(sum(chain.f_values))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 40])
 def test_ghz_closed_form(n):
     rng = np.random.default_rng(500 + n)
     chain = random_chain(rng, n)
@@ -328,6 +328,18 @@ def test_noisy_ghz_matches_channel_plus_general(n):
     assert want == pytest.approx(d * d * gt * gt * _sum_f(chain) ** 2, rel=1e-12)
 
 
+def test_general_qfi_of_dephased_ghz_past_the_old_dense_cap():
+    # weak noise keeps the 16-qubit coherence d near 0.6: the channel stores
+    # it in the spectral weights (1 +- d)/2, which resolve d only to ~1e-16
+    rng = np.random.default_rng(67)
+    chain = random_chain(rng, 16)
+    params = random_params(rng, delta_e=0.05)
+    model = NoiseModel.from_params(params)
+    state = apply_channel(make_named_state("ghz", 16), model, params.t)
+    got = qfi_general(state, chain, params).value
+    assert rel_dev(got, qfi_noisy_ghz(chain, params).value) < 1e-9
+
+
 def test_noisy_ghz_without_noise_reduces_to_pure():
     rng = np.random.default_rng(66)
     chain = random_chain(rng, 4)
@@ -364,6 +376,44 @@ def test_steady_and_dicke_values_ignore_the_reference_point():
         assert qfi_dicke(chain, params, 2).value == pytest.approx(
             qfi_dicke(make_chain(positions, x0=0.0), params, 2).value, rel=1e-9
         )
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("offset", [1e4, 1e6, 1e8])
+def test_single_sector_probes_far_from_x0_match_centred_closed_forms(n, offset):
+    # one excitation sector sees only the centred profile f - mean(f), so a
+    # chain far from x0 must give the same information as a chain at x0, to
+    # 1e-9 of the offset-free scale (gamma t)^2 sum (f - mean f)^2
+    rng = np.random.default_rng(700 + n)
+    chain = make_chain(offset + np.sort(rng.uniform(0.0, 1.0, size=n)), x0=0.0)
+    params = random_params(rng)
+    gt2 = (params.gamma * params.t) ** 2
+    mean = math.fsum(chain.f_values) / n
+    g = [fx - mean for fx in chain.f_values]
+    spread = math.fsum(x * x for x in g)
+    scale = gt2 * spread
+    half = n // 2
+    gap = math.fsum(g[half:]) - math.fsum(g[:half])
+
+    def dicke(k):
+        return gt2 * 4.0 * k * (n - k) / (n * (n - 1)) * spread
+
+    cases = [
+        ("w", make_named_state("dicke", n, k=1), dicke(1), qfi_dicke(chain, params, 1)),
+        ("dicke-half", make_named_state("dicke", n, k=half), dicke(half),
+         qfi_dicke(chain, params, half)),
+        ("odf-half", make_named_state("odf", n, k=half), gt2 * gap * gap,
+         qfi_dfs_subspace(chain, params, half)[0]),
+        ("psi-half", make_named_state("psi-m", n, m=half), gt2 * gap * gap,
+         qfi_dfs_subspace(chain, params, half)[0]),
+    ]
+    for name, state, want, closed in cases:
+        for path, got in (
+            ("general", qfi_general(state, chain, params).value),
+            ("pure", qfi_pure(state, chain, params).value),
+            ("closed", closed.value),
+        ):
+            assert abs(got - want) <= 1e-9 * scale, f"{name} {path}: {got!r} vs {want!r}"
 
 
 def test_closed_forms_scale_quadratically_with_geometry():
