@@ -22,6 +22,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from typing import Callable, NamedTuple, Sequence
 
@@ -764,8 +765,33 @@ def _add_flags(sp: argparse.ArgumentParser) -> None:
             sp.add_argument(f"--{flag}", type=spec.kind, help=spec.help)
 
 
+# argparse reads only -N and -N.N as negative numbers, so in `--x0 -1e2` or
+# `--positions -1,0,1` it takes the value for another option; these patterns
+# pick out such values of the float flags and --positions
+_UNSIGNED = r"(?:\d+|\d*\.\d+)(?:[eE][-+]?\d+)?"
+_NEGATIVE_VALUE = {
+    f"--{flag}": re.compile(
+        rf"-{_UNSIGNED}(?:,-?{_UNSIGNED})*" if flag == "positions" else f"-{_UNSIGNED}"
+    )
+    for flag, spec in _FLAGS.items()
+    if spec.kind is float or flag == "positions"
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that attaches a negative value to its flag (`--x0=-1e2`)."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = list(sys.argv[1:] if args is None else args)
+        for i in range(len(args) - 1, 0, -1):
+            pattern = _NEGATIVE_VALUE.get(args[i - 1])
+            if pattern is not None and pattern.fullmatch(args[i]):
+                args[i - 1:i + 1] = [f"{args[i - 1]}={args[i]}"]
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gradqfi",
         description=(
             "Fisher-information bounds for field-gradient estimation with "

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .core import (
     PhysParams,
     SparseState,
     State,
-    _lambda_of,
     basis_excitations,
     bit_complement,
 )
@@ -40,6 +40,8 @@ from .qfi import FisherReport
 
 _P_FLOOR = 1e-15
 _DP_FLOOR = 1e-12
+# bitstring bytes -> 0/1 per qubit, the selectors of itertools.compress
+_EXCITED = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -80,17 +82,33 @@ class OutcomeDistribution:
 def _evolved_amplitudes(
     vec: SparseState, config: ChainConfig, params: PhysParams
 ) -> tuple[dict[str, complex], dict[str, float]]:
-    """Evolved amplitude and generator eigenvalue per support bitstring."""
+    """Evolved amplitude and generator eigenvalue per support bitstring.
+
+    Chains far from x0 keep their digits in both.  lambda_I is taken as
+    (1/2) sum_i (f_i - c) s_i + c (n/2 - k_I) with c = mean(f): the first
+    term sees only the centred profile and the second vanishes on balanced
+    strings.  The phase (1/2) sum_i s_i (gamma B0 t + gamma G t f_i) sums
+    per-qubit phases reduced modulo 4 pi, so it stays within n pi and is
+    not rounded at the scale of a large f.  Each sum is half the sum over
+    all qubits minus the sum over the excited ones.
+    """
     gbt = params.gamma * params.b0 * params.t
     ggt = params.gamma * params.grad * params.t
     n = vec.n_qubits
+    c = math.fsum(config.f_values) / n
+    centred = [fx - c for fx in config.f_values]
+    turns = [math.remainder(gbt + ggt * fx, 4.0 * math.pi) for fx in config.f_values]
+    lam_all = 0.5 * math.fsum(centred)
+    phase_all = 0.5 * math.fsum(turns)
     amps: dict[str, complex] = {}
     lams: dict[str, float] = {}
     for bits, amp in vec.terms:
-        lam = _lambda_of(bits, config.f_values)
-        phase = gbt * (0.5 * n - bits.count("1")) + ggt * lam
+        excited = bits.encode("ascii").translate(_EXCITED)
+        phase = phase_all - sum(compress(turns, excited))
         amps[bits] = amp * complex(math.cos(phase), -math.sin(phase))
-        lams[bits] = lam
+        lams[bits] = (
+            lam_all - sum(compress(centred, excited)) + c * (0.5 * n - bits.count("1"))
+        )
     return amps, lams
 
 

@@ -8,9 +8,11 @@ Gaussian with variance gamma'^2 C(t), so averaging over realizations
 multiplies each density-matrix element rho_IJ by a coherence factor that
 depends only on the excitation difference |k(I) - k(J)|.
 
-Monte Carlo here is an oracle for the analytic channel: trajectories use
-the exact joint Gaussian one-step update of (dE, integral dE), so there
-is no discretization bias and convergence tests isolate sampling error.
+Monte Carlo here is an oracle for the analytic channel: each trajectory
+takes one exact joint-Gaussian step of (dE, integral dE) from a stationary
+dE(0) to t, built from the OU transition moments rather than from C(t),
+so there is no discretization bias, convergence tests isolate sampling
+error, and a trajectory costs three normals at any t.
 """
 
 from __future__ import annotations
@@ -233,33 +235,28 @@ def _box_muller(u: np.ndarray) -> np.ndarray:
     return z
 
 
-def _step_count(model: NoiseModel, t: float) -> int:
-    """Steps of the grid min(tau_c/100, t/100) over [0, t].
-
-    The update is exact at any step size; this grid fixes the stream
-    layout, so changing it changes every Monte Carlo digit.
-    """
-    return max(1, math.ceil(t / min(model.tau_c / 100.0, t / 100.0)))
-
-
 def _char_function(
-    seed: int, n_traj: int, n_steps: int, h: float, model: NoiseModel,
+    seed: int, n_traj: int, t: float, model: NoiseModel,
     gamma_prime: float, n_qubits: int,
 ) -> np.ndarray:
     """E[exp(-i delta_phi * dk)] for dk = 0..n_qubits, over n_traj trajectories.
 
-    delta_phi = gamma' * Y with Y = integral of the OU process; per step
-    of size h the pair (X, Y-increment) is jointly Gaussian with the
-    exact conditional moments, so the scheme has no discretization bias.
-    Trajectory i consumes a fixed block of draws at a fixed counter
-    offset, making the result independent of chunking.
+    delta_phi = gamma' * Y_t with Y_t the integral of the OU process X over
+    [0, t].  Each trajectory takes one exact step from a stationary X_0:
+    given X_0, the pair (X_t, Y_t) is jointly Gaussian with mean
+    (phi X_0, tau (1 - phi) X_0), phi = e^{-t/tau}, and the exact
+    transition covariance (Gillespie, Phys. Rev. E 54, 2084 (1996)), so
+    the estimate has no discretization bias at any t.  Y_t is drawn from
+    the Cholesky factor of that covariance; X_t itself is never needed.
+    Trajectory i reads one Philox counter (four uniforms, three normals
+    used: X_0, the X_t noise, the Y_t noise) at counter i, so the stream
+    layout does not depend on t and the result does not depend on chunking.
     """
     tau = model.tau_c
     sig2 = model.delta_e * model.delta_e
-    s = h / tau
-    em1 = math.expm1(-s)          # e^{-s} - 1  (negative)
+    s = t / tau
+    em1 = math.expm1(-s)          # phi - 1  (negative)
     em2 = math.expm1(-2.0 * s)
-    phi = 1.0 + em1
     var_x = -sig2 * em2
     cov_xy = sig2 * tau * em1 * em1
     var_y = sig2 * tau * tau * (2.0 * s + 4.0 * em1 - em2)
@@ -268,24 +265,15 @@ def _char_function(
     c = math.sqrt(max(var_y - b * b, 0.0))
     drift = -tau * em1            # tau (1 - phi)
 
-    draws = 2 + 2 * n_steps
-    blk = draws + (-draws) % 4    # Philox counters advance 4 outputs at a time
-    counters_per_row = blk // 4
-
     acc = np.zeros(n_qubits + 1, dtype=np.complex128)
     for lo in range(0, n_traj, MC_CHUNK):
         hi = min(lo + MC_CHUNK, n_traj)
         bitgen = np.random.Philox(key=seed)
-        bitgen.advance(lo * counters_per_row)
-        u = np.random.Generator(bitgen).random((hi - lo, blk), dtype=np.float64)
+        bitgen.advance(lo)        # one counter (four outputs) per trajectory
+        u = np.random.Generator(bitgen).random((hi - lo, 4), dtype=np.float64)
         z = _box_muller(u)
-        x = model.delta_e * z[:, 0]          # stationary initial sample
-        y = np.zeros(hi - lo, dtype=np.float64)
-        for j in range(n_steps):
-            zx = z[:, 2 + 2 * j]
-            zy = z[:, 3 + 2 * j]
-            y += drift * x + b * zx + c * zy
-            x = phi * x + a * zx
+        x0 = model.delta_e * z[:, 0]         # stationary initial sample
+        y = drift * x0 + b * z[:, 2] + c * z[:, 3]
         base = np.exp(-1j * (gamma_prime * y))
         cur = np.ones(hi - lo, dtype=np.complex128)
         for dk in range(n_qubits + 1):
@@ -301,10 +289,10 @@ def mc_coherence_magnitude(
     """Monte Carlo estimate of the coherence factor magnitude at a J_z weight.
 
     Draws the same trajectory stream as mc_trajectory_average (identical
-    seed, step count, and block layout) and returns |E[exp(-i gamma'
-    weight * Y)]|, converging to coherence_factor(model, t, weight) at
-    ~ 1/sqrt(n_traj).  The estimator is elementwise numpy throughout (no
-    BLAS), so its digits are stable across thread counts.
+    seed and layout) and returns |E[exp(-i gamma' weight * Y)]|,
+    converging to coherence_factor(model, t, weight) at ~ 1/sqrt(n_traj).
+    The estimator is elementwise numpy throughout (no BLAS), so its digits
+    are stable across thread counts.
     """
     if not (math.isfinite(t) and t >= 0):
         raise NegativeTime(f"t must be finite and >= 0, got {t!r}")
@@ -312,10 +300,7 @@ def mc_coherence_magnitude(
         raise OutOfRange(f"weight must be >= 0, got {weight!r}")
     if t == 0.0 or weight == 0 or model.delta_e == 0.0 or model.gamma_prime == 0.0:
         return 1.0
-    n_steps = _step_count(model, t)
-    char = _char_function(
-        ens.seed, ens.n_traj, n_steps, t / n_steps, model, model.gamma_prime, weight
-    )
+    char = _char_function(ens.seed, ens.n_traj, t, model, model.gamma_prime, weight)
     return float(abs(char[weight]))
 
 
@@ -350,10 +335,7 @@ def mc_trajectory_average(
         # noise-free: the average is the evolved pure state itself
         return SpectralState(n, ((1.0, evolve(state, config, params)),))
 
-    n_steps = _step_count(model, t)
-    char = _char_function(
-        ens.seed, ens.n_traj, n_steps, t / n_steps, model, params.gamma_prime, n
-    )
+    char = _char_function(ens.seed, ens.n_traj, t, model, params.gamma_prime, n)
 
     psi = np.array([amp for _, amp in state.terms], dtype=np.complex128)
     k = np.array([bits.count("1") for bits in support], dtype=np.int64)

@@ -122,6 +122,25 @@ def test_positions_imply_explicit_placement():
     assert payload["params_echo"]["positions"] == [0.0, 0.5, 1.0]
 
 
+def test_negative_float_with_exponent_is_a_flag_value():
+    for flag, spec in _FLAGS.items():
+        if spec.kind is float:
+            args = build_parser().parse_args(["qfi", f"--{flag}", "-2.5e-3"])
+            assert getattr(args, flag.replace("-", "_")) == -2.5e-3, flag
+    spaced = run_cli("qfi", "--x0", "-1e2")
+    assert spaced.returncode == 0, spaced.stderr
+    assert spaced.stdout == run_cli("qfi", "--x0=-1e2").stdout
+    assert json.loads(spaced.stdout)["params_echo"]["x0"] == -100.0
+
+
+def test_negative_positions_are_a_flag_value():
+    cp = run_cli("qfi", "--positions", "-1,-5e-1,0", "--state", "ghz", "--gamma-t", "1")
+    assert cp.returncode == 0, cp.stderr
+    payload = json.loads(cp.stdout)
+    assert payload["params_echo"]["positions"] == [-1.0, -0.5, 0.0]
+    assert payload["value"] == pytest.approx(2.25, rel=1e-12)
+
+
 def test_positions_with_mismatched_n():
     cp = run_cli("qfi", "--positions", "0,0.5,1", "--n", "2")
     assert cp.returncode == 2

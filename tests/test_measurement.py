@@ -223,6 +223,49 @@ def test_balanced_two_branch_parity_cfi_saturates_qfi(n):
         assert rel_dev(cfi, qfi) < 1e-9 or abs(cfi - qfi) < 1e-12
 
 
+@pytest.mark.parametrize("offset", [1e4, 1e6, 1e8])
+@pytest.mark.parametrize("n", [4, 6])
+def test_balanced_parity_cfi_far_from_x0_matches_offset_free_qfi(n, offset):
+    # the balanced probe sees only the centred profile, so its parity CFI on
+    # a chain far from x0 is (gamma t)^2 (sum of centred f, upper half minus
+    # lower half)^2, the offset-free QFI
+    rng = np.random.default_rng(730 + n)
+    chain = make_chain(offset + np.sort(rng.uniform(0.0, 1.0, size=n)), x0=0.0)
+    params = random_params(rng, grad=float(rng.uniform(0.1, 1.0)))
+    mean = math.fsum(chain.f_values) / n
+    g = [fx - mean for fx in chain.f_values]
+    half = n // 2
+    gap = math.fsum(g[half:]) - math.fsum(g[:half])
+    want = (params.gamma * params.t * gap) ** 2
+    state = make_named_state("odf", n, k=half)
+    cfi = classical_fisher(parity_distribution(state, chain, params)).value
+    assert rel_dev(cfi, want) < 1e-9, f"{cfi!r} vs {want!r}"
+
+
+@pytest.mark.parametrize("n", [12, 14])
+def test_product_parity_cfi_far_from_x0_matches_per_qubit_closed_form(n):
+    # <X^N> of the product state is prod_i cos(theta_i), theta_i =
+    # gamma t (B0 + G f_i); its 2^n-term sum pairs bitstring phases of order
+    # n * theta_i, which must not be rounded at that scale
+    rng = np.random.default_rng(750 + n)
+    chain = make_chain(1e4 + np.sort(rng.uniform(0.0, 1.0, size=n)), x0=0.0)
+    params = random_params(rng, grad=float(rng.uniform(0.1, 1.0)))
+    gt = params.gamma * params.t
+    theta = [gt * (params.b0 + params.grad * fx) for fx in chain.f_values]
+    cos = [math.cos(x) for x in theta]
+    value = math.prod(cos)
+    slope = math.fsum(
+        -gt * fx * math.sin(x) * math.prod(cos[:i] + cos[i + 1:])
+        for i, (fx, x) in enumerate(zip(chain.f_values, theta))
+    )
+    want = slope * slope / (1.0 - value * value)
+    mean = math.fsum(chain.f_values) / n
+    scale = max(want, gt * gt * math.fsum((fx - mean) ** 2 for fx in chain.f_values))
+    state = make_named_state("product", n)
+    cfi = classical_fisher(parity_distribution(state, chain, params)).value
+    assert abs(cfi - want) <= 1e-9 * scale, f"{cfi!r} vs {want!r}"
+
+
 def test_parity_cfi_at_the_exact_fringe_top_is_zero():
     # sin(alpha) = 0 exactly: the fringe is first-order insensitive and the
     # two-outcome statistics carry no information at this single point

@@ -261,12 +261,39 @@ def test_mc_coherence_tracks_analytic_decay(t_frac):
     assert abs(got - want) <= _mc_band(model, t, weight, ens.n_traj) + 1e-12
 
 
+def test_mc_coherence_tracks_analytic_decay_at_long_times():
+    # one exact step per trajectory: t = 1000 tau_c costs what t = tau_c does
+    model = NoiseModel(gamma_prime=0.02, delta_e=1.0, tau_c=1.0)
+    t = 1000.0 * model.tau_c
+    ens = TrajectoryEnsemble(n_traj=20000, seed=2024)
+    got = mc_coherence_magnitude(model, t, 1, ens)
+    want = coherence_factor(model, t, 1)
+    assert abs(got - want) <= _mc_band(model, t, 1, ens.n_traj) + 1e-12
+
+
 def test_mc_trajectory_average_converges_to_channel():
     rng = np.random.default_rng(821)
     chain = random_chain(rng, 3)
     params = random_params(rng, gamma_prime=0.4, delta_e=1.0, tau_c=1.0, t=0.8)
     state = make_named_state("ghz", 3)
     ens = TrajectoryEnsemble(n_traj=20000, seed=77)
+    mc = dense_rho(mc_trajectory_average(state, chain, params, ens))
+    exact = dense_rho(
+        evolve(
+            apply_channel(state, NoiseModel.from_params(params), params.t),
+            chain,
+            params,
+        )
+    )
+    assert float(np.abs(mc - exact).max()) < 0.05
+
+
+def test_mc_trajectory_average_converges_to_channel_past_tau_c():
+    rng = np.random.default_rng(829)
+    chain = random_chain(rng, 3)
+    params = random_params(rng, gamma_prime=0.4, delta_e=1.0, tau_c=1.0, t=2.0)
+    state = random_sparse(rng, 3, size=8)
+    ens = TrajectoryEnsemble(n_traj=20000, seed=79)
     mc = dense_rho(mc_trajectory_average(state, chain, params, ens))
     exact = dense_rho(
         evolve(
