@@ -18,16 +18,9 @@ from .core import (
     SparseState,
     SpectralState,
     State,
-    bit_complement,
     evolve,
-    excitation_count,
-    hamiltonian_eigenvalue,
     make_chain,
     make_named_state,
-    state_from_json,
-    state_overlap,
-    state_to_json,
-    tensor_product,
 )
 from .errors import (
     ComputationError,
@@ -105,9 +98,7 @@ __all__ = [
     # core
     "ChainConfig", "FieldProfile", "LINEAR", "PhysParams",
     "SparseState", "SpectralState", "State",
-    "bit_complement", "evolve", "excitation_count", "hamiltonian_eigenvalue",
-    "make_chain", "make_named_state", "state_from_json", "state_overlap",
-    "state_to_json", "tensor_product",
+    "evolve", "make_chain", "make_named_state",
     # errors
     "GradQfiError", "ValidationError", "ComputationError",
     "EmptyChain", "NonFiniteCoordinate", "LengthMismatch", "OutOfRange",

@@ -12,13 +12,17 @@ long as f(0) = 0).  Qubits are labeled in ascending order of their
 profile value f(x_i - x0); the leftmost character of a basis bitstring
 belongs to qubit 1 (the smallest f).  sigma_z |0> = +|0>.
 
+The gradient reaches a state only through the phase each basis bitstring
+picks up; _evolution_terms computes that phase and the eigenvalue lambda_I
+of H_G once, for evolve, the measurement readouts and the Monte Carlo
+trajectories alike.
+
 Everything here is immutable and side-effect free, so all operations
 are safe to call concurrently.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -28,7 +32,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import (
-    DimensionTooLarge,
     EmptyChain,
     InvalidProfile,
     LengthMismatch,
@@ -42,8 +45,6 @@ from .errors import (
 
 # Sparse states hold at most this many basis terms.
 SPARSE_CAP = 1 << 20
-# Dense 2^n work (J_x distributions) is capped here.
-ORACLE_CAP_QUBITS = 12
 
 NORM_TOL = 1e-12
 ORTHO_TOL = 1e-10
@@ -244,11 +245,6 @@ class SparseState:
             raise NonNormalizedState(f"sum of |amplitude|^2 is {norm2!r}, expected 1 within {NORM_TOL:g}")
         object.__setattr__(self, "terms", terms)
 
-    @cached_property
-    def amplitudes(self) -> dict[str, complex]:
-        """Bitstring -> amplitude map (treat as read-only)."""
-        return dict(self.terms)
-
     @property
     def support_size(self) -> int:
         return len(self.terms)
@@ -333,60 +329,49 @@ def _check_orthogonality(vectors: Sequence["SparseState"]) -> None:
         )
 
 
-def state_overlap(a: SparseState, b: SparseState) -> complex:
-    """<a|b> over the sparse supports."""
-    if a.n_qubits != b.n_qubits:
-        raise LengthMismatch(f"overlap needs equal qubit counts, got {a.n_qubits} and {b.n_qubits}")
-    small, big = (a.amplitudes, b.amplitudes)
-    conj_small = True
-    if len(small) > len(big):
-        small, big = big, small
-        conj_small = False
-    total = 0j
-    for bits, amp in small.items():
-        other = big.get(bits)
-        if other is None:
-            continue
-        total += amp.conjugate() * other if conj_small else other.conjugate() * amp
-    return total
-
-
 # ----------------------------------------------------------------------
 # Hamiltonian spectrum and evolution
 # ----------------------------------------------------------------------
 
 
-def excitation_count(bits: str) -> int:
-    return bits.count("1")
+def _evolution_terms(
+    bitstrings: Sequence[str], config: ChainConfig, params: PhysParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evolution phase and H_G eigenvalue lambda_I of each basis bitstring.
 
-
-def bit_complement(bits: str) -> str:
-    return bits.translate(_FLIP)
-
-
-_FLIP = str.maketrans("01", "10")
-
-
-def _lambda_of(bits: str, f_values: Sequence[float]) -> float:
-    # lambda_I = (1/2) sum_i f_i s_i, s_i = +1 for '0', -1 for '1'
-    acc = 0.0
-    for ch, fx in zip(bits, f_values):
-        acc += fx if ch == "0" else -fx
-    return 0.5 * acc
-
-
-def hamiltonian_eigenvalue(config: ChainConfig, bits: str) -> float:
-    """Eigenvalue lambda_I of H_G on basis state |I> (bit 0 contributes +f/2)."""
-    _check_bits(bits, config.n)
-    return _lambda_of(bits, config.f_values)
+    lambda_I = (1/2) sum_i (f_i - c) s_i + c (n/2 - k_I) with c = mean(f):
+    the first term sees only the centred profile and the second vanishes on
+    balanced strings.  The phase gamma t (B0 (n/2 - k_I) + G lambda_I) =
+    (1/2) sum_i s_i gamma t (B0 + G f_i) sums per-qubit turns reduced
+    modulo 4 pi, so it stays within n pi and is not rounded at the scale of
+    a large f.  Both are half the all-qubit sum minus the sum over the
+    excited qubits, accumulated qubit by qubit in chain order.
+    """
+    n = config.n
+    gbt = params.gamma * params.b0 * params.t
+    ggt = params.gamma * params.grad * params.t
+    c = math.fsum(config.f_values) / n
+    centred = [fx - c for fx in config.f_values]
+    turns = [math.remainder(gbt + ggt * fx, 4.0 * math.pi) for fx in config.f_values]
+    raw = np.frombuffer("".join(bitstrings).encode("ascii"), dtype=np.uint8)
+    excited = raw.reshape(-1, n).T == ord("1")  # (qubit, term)
+    phase = np.zeros(excited.shape[1])
+    lam = np.zeros(excited.shape[1])
+    for row, turn, g in zip(excited, turns, centred):
+        phase += row * turn
+        lam += row * g
+    phase = 0.5 * math.fsum(turns) - phase
+    lam = 0.5 * math.fsum(centred) - lam + c * (0.5 * n - excited.sum(axis=0))
+    return phase, lam
 
 
 def evolve(state: State, config: ChainConfig, params: PhysParams) -> State:
     """Apply the exact diagonal evolution exp(-i t H / hbar).
 
     Each amplitude on bitstring I picks up exp(-i phase(I)) with
-    phase(I) = gamma*B0*t*(N/2 - k(I)) + gamma*G*t*lambda_I.  Norm is
-    preserved exactly; spectral states evolve eigenvector-wise.
+    phase(I) = gamma*B0*t*(N/2 - k(I)) + gamma*G*t*lambda_I, evaluated by
+    _evolution_terms.  Norm is preserved exactly; spectral states evolve
+    eigenvector-wise.
     """
     if isinstance(state, SpectralState):
         pairs = tuple((w, evolve(v, config, params)) for w, v in state.eigenpairs)
@@ -394,15 +379,11 @@ def evolve(state: State, config: ChainConfig, params: PhysParams) -> State:
     n = state.n_qubits
     if n != config.n:
         raise LengthMismatch(f"state has {n} qubits but chain has {config.n}")
-    gbt = params.gamma * params.b0 * params.t
-    ggt = params.gamma * params.grad * params.t
-    half_n = 0.5 * n
-    f_values = config.f_values
-    new_terms = []
-    for bits, amp in state.terms:
-        phase = gbt * (half_n - bits.count("1")) + ggt * _lambda_of(bits, f_values)
-        new_terms.append((bits, amp * complex(math.cos(phase), -math.sin(phase))))
-    return SparseState(n, tuple(new_terms))
+    phase, _ = _evolution_terms([bits for bits, _ in state.terms], config, params)
+    return SparseState(n, tuple(
+        (bits, amp * complex(math.cos(ph), -math.sin(ph)))
+        for (bits, amp), ph in zip(state.terms, phase.tolist())
+    ))
 
 
 # ----------------------------------------------------------------------
@@ -433,20 +414,17 @@ def make_named_state(
     """
     if n_qubits < 1:
         raise OutOfRange(f"n_qubits must be >= 1, got {n_qubits!r}")
-    key = name.lower().replace("_", "-")
-    if key == "product-plus":
-        key = "product"
-    if key not in STATE_NAMES:
+    if name not in STATE_NAMES:
         raise OutOfRange(f"unknown state name {name!r}; choose from {STATE_NAMES}")
 
-    if key == "ghz":
+    if name == "ghz":
         return SparseState(
             n_qubits, (("0" * n_qubits, _SQRT_HALF), ("1" * n_qubits, _SQRT_HALF))
         )
-    if key == "ghz-theta":
+    if name == "ghz-theta":
         rel = complex(math.cos(theta), math.sin(theta)) * _SQRT_HALF
         return SparseState(n_qubits, (("0" * n_qubits, _SQRT_HALF), ("1" * n_qubits, rel)))
-    if key == "product":
+    if name == "product":
         if (1 << n_qubits) > SPARSE_CAP or n_qubits > 20:
             raise SupportTooLarge(
                 f"product state needs 2^{n_qubits} terms, above the sparse cap; "
@@ -455,7 +433,7 @@ def make_named_state(
         amp = 2.0 ** (-0.5 * n_qubits)
         terms = tuple((format(i, f"0{n_qubits}b"), amp) for i in range(1 << n_qubits))
         return SparseState(n_qubits, terms)
-    if key == "odf":
+    if name == "odf":
         if k is None:
             raise OutOfRange("odf state requires k")
         if not 0 <= k <= n_qubits:
@@ -465,7 +443,7 @@ def make_named_state(
         if a == b:
             return SparseState(n_qubits, ((a, 1.0),))
         return SparseState(n_qubits, ((a, _SQRT_HALF), (b, _SQRT_HALF)))
-    if key == "dicke":
+    if name == "dicke":
         if k is None:
             raise OutOfRange("dicke state requires k")
         if not 0 <= k <= n_qubits:
@@ -491,48 +469,43 @@ def make_named_state(
     return SparseState(n_qubits, ((a, _SQRT_HALF), (b, _SQRT_HALF)))
 
 
-def tensor_product(a: SparseState, b: SparseState) -> SparseState:
-    """Kronecker product; qubits of `a` come first (most significant)."""
-    size = a.support_size * b.support_size
-    if size > SPARSE_CAP:
-        raise SupportTooLarge(f"tensor product has {size} terms, above the sparse cap")
-    terms = tuple(
-        (ba + bb, aa * ab) for ba, aa in a.terms for bb, ab in b.terms
-    )
-    return SparseState(a.n_qubits + b.n_qubits, terms)
-
-
 # ----------------------------------------------------------------------
-# dense-basis helpers (oracle-scale only)
+# spectral assembly (shared by the noise channel and the twirl)
 # ----------------------------------------------------------------------
 
-
-def _check_dense_cap(n_qubits: int) -> None:
-    if n_qubits > ORACLE_CAP_QUBITS:
-        raise DimensionTooLarge(
-            f"dense work needs n_qubits <= {ORACLE_CAP_QUBITS}, got {n_qubits}"
-        )
-
-
-def basis_excitations(n_qubits: int) -> np.ndarray:
-    """k(I) for every dense basis index I (qubit 1 = most significant bit)."""
-    _check_dense_cap(n_qubits)
-    idx = np.arange(1 << n_qubits, dtype=np.uint32)
-    shifts = np.arange(n_qubits - 1, -1, -1, dtype=np.uint32)
-    bits = (idx[:, None] >> shifts[None, :]) & 1
-    return bits.sum(axis=1).astype(np.int64)
-
-
-# ----------------------------------------------------------------------
-# spectral assembly (shared by the noise channel and mixtures)
-# ----------------------------------------------------------------------
-
-# Density-matrix eigenvalues in [-NEG_EVAL_TOL, 0) are numerical noise and
-# are clipped to zero (weights renormalized); anything more negative is a
-# real positivity violation and raises.
+# Density-matrix eigenvalues in [-NEG_EVAL_TOL, _WEIGHT_DROP] are numerical
+# noise and are dropped; anything more negative is a real positivity
+# violation and raises.
 NEG_EVAL_TOL = 1e-10
 _WEIGHT_DROP = 1e-14
 _AMP_DROP = 1e-14
+
+
+def _eigen_pairs(
+    rho: np.ndarray, support: Sequence[str], n_qubits: int
+) -> list[tuple[float, SparseState]]:
+    """(eigenvalue, eigenvector) of a Hermitian block over an explicit support.
+
+    Keeps the eigenvalues above _WEIGHT_DROP, heaviest first and not
+    normalized; eigenvector entries at or below _AMP_DROP are dropped and
+    the rest renormalized to a unit vector.
+    """
+    w, vecs = np.linalg.eigh(rho)
+    if w[0] < -NEG_EVAL_TOL:
+        raise SpectrumNotPositive(
+            f"density matrix has eigenvalue {w[0]:.6e}, below -{NEG_EVAL_TOL:g}"
+        )
+    pairs = []
+    for i in sorted(np.flatnonzero(w > _WEIGHT_DROP), key=lambda i: -w[i]):
+        col = vecs[:, i]
+        mask = np.abs(col) > _AMP_DROP
+        col = col[mask] / math.sqrt(float(np.vdot(col[mask], col[mask]).real))
+        terms = tuple(
+            (support[j], complex(col[pos]))
+            for pos, j in enumerate(np.flatnonzero(mask))
+        )
+        pairs.append((float(w[i]), SparseState(n_qubits, terms)))
+    return pairs
 
 
 def spectral_from_support_matrix(
@@ -542,77 +515,11 @@ def spectral_from_support_matrix(
 
     rho is an s x s matrix over the basis bitstrings in `support` (unit
     trace).  Returns the eigendecomposition as a SpectralState, with
-    tiny negative eigenvalues clipped and weights renormalized.
+    numerical-noise eigenvalues dropped and weights renormalized.
     """
-    w, vecs = np.linalg.eigh(rho)
-    if w[0] < -NEG_EVAL_TOL:
-        raise SpectrumNotPositive(
-            f"density matrix has eigenvalue {w[0]:.6e}, below -{NEG_EVAL_TOL:g}"
-        )
-    w = np.clip(w, 0.0, None)
-    kept = [i for i in range(len(w)) if w[i] > _WEIGHT_DROP]
-    if not kept:
-        raise NonNormalizedState("density matrix has no positive weight")
-    total = float(sum(w[i] for i in kept))
-    pairs = []
-    for i in sorted(kept, key=lambda i: -w[i]):
-        col = vecs[:, i]
-        mask = np.abs(col) > _AMP_DROP
-        col = col[mask] / math.sqrt(float(np.vdot(col[mask], col[mask]).real))
-        terms = tuple(
-            (support[j], complex(col[pos]))
-            for pos, j in enumerate(np.flatnonzero(mask))
-        )
-        pairs.append((float(w[i]) / total, SparseState(n_qubits, terms)))
-    return SpectralState(n_qubits, tuple(pairs))
-
-
-def spectral_from_mixture(
-    pairs: Sequence[tuple[float, SparseState]], n_qubits: int | None = None
-) -> SpectralState:
-    """Diagonalize a convex mixture sum_a w_a |a><a| of sparse states."""
+    pairs = _eigen_pairs(rho, support, n_qubits)
     if not pairs:
-        raise NonNormalizedState("mixture needs at least one component")
-    n = n_qubits if n_qubits is not None else pairs[0][1].n_qubits
-    support: list[str] = sorted({bits for _, vec in pairs for bits, _ in vec.terms})
-    if len(support) > 4096:
-        raise SupportTooLarge(f"mixture support {len(support)} exceeds 4096")
-    index = {bits: i for i, bits in enumerate(support)}
-    rho = np.zeros((len(support), len(support)), dtype=np.complex128)
-    total = 0.0
-    for w, vec in pairs:
-        if not math.isfinite(w) or w < 0:
-            raise NonNormalizedState(f"mixture weight {w!r} must be finite and >= 0")
-        if vec.n_qubits != n:
-            raise LengthMismatch(f"component has {vec.n_qubits} qubits, expected {n}")
-        total += w
-        col = np.zeros(len(support), dtype=np.complex128)
-        for bits, amp in vec.terms:
-            col[index[bits]] = amp
-        rho += w * np.outer(col, col.conj())
-    if abs(total - 1.0) > NORM_TOL:
-        raise NonNormalizedState(f"mixture weights sum to {total!r}, expected 1 within {NORM_TOL:g}")
-    return spectral_from_support_matrix(rho, support, n)
-
-
-# ----------------------------------------------------------------------
-# serialization (fixtures)
-# ----------------------------------------------------------------------
-
-
-def state_to_json(state: SparseState) -> str:
-    """Serialize to a JSON array of {bits, re, im} entries."""
-    entries = [
-        {"bits": bits, "re": amp.real, "im": amp.imag} for bits, amp in state.terms
-    ]
-    return json.dumps(entries)
-
-
-def state_from_json(text: str) -> SparseState:
-    entries = json.loads(text)
-    if not entries:
-        raise NonNormalizedState("serialized state has no terms")
-    terms = tuple(
-        (str(e["bits"]), complex(float(e["re"]), float(e["im"]))) for e in entries
-    )
-    return SparseState(len(terms[0][0]), terms)
+        raise NonNormalizedState("density matrix has no positive weight")
+    # lightest first, in eigh's order, so the weights keep their digits
+    total = sum(w for w, _ in reversed(pairs))
+    return SpectralState(n_qubits, tuple((w / total, vec) for w, vec in pairs))

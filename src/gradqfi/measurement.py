@@ -9,7 +9,10 @@ two-branch probes.
 Probabilities and their analytic d/dG derivatives come from the same
 evolved amplitudes: every amplitude carries exp(-i phase(I)) with
 d phase / dG = gamma t lambda_I, so derivatives are exact (no finite
-differences anywhere outside the test suite).
+differences anywhere outside the test suite).  phase(I) and lambda_I come
+from core._evolution_terms, the rule evolve uses, so a readout and the
+evolved state agree digit for digit even on chains far from x0.  The
+J_x readout builds dense 2^N vectors and is capped at N = 12.
 
 Note on two-branch states: sigma_x^(x)N connects a bitstring only to its
 complement, so an unbalanced two-branch state (k excitations vs k
@@ -22,26 +25,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
-from .core import (
-    ORACLE_CAP_QUBITS,
-    ChainConfig,
-    PhysParams,
-    SparseState,
-    State,
-    basis_excitations,
-    bit_complement,
-)
+from .core import ChainConfig, PhysParams, SparseState, State, _evolution_terms
 from .errors import DimensionTooLarge, FlatResponse, LengthMismatch, OutOfRange
 from .qfi import FisherReport
 
 _P_FLOOR = 1e-15
 _DP_FLOOR = 1e-12
-# bitstring bytes -> 0/1 per qubit, the selectors of itertools.compress
-_EXCITED = bytes.maketrans(b"01", b"\x00\x01")
+# J_x readout builds dense 2^n vectors, so it is capped here.
+_DENSE_CAP_QUBITS = 12
+_FLIP = str.maketrans("01", "10")
 
 
 @dataclass(frozen=True)
@@ -54,6 +49,7 @@ class OutcomeDistribution:
         cleaned = []
         total_p = 0.0
         total_dp = 0.0
+        abs_dp = 0.0
         for label, p, dp in self.outcomes:
             p = float(p)
             dp = float(dp)
@@ -64,10 +60,13 @@ class OutcomeDistribution:
             cleaned.append((str(label), p, dp))
             total_p += p
             total_dp += dp
+            abs_dp += abs(dp)
         if abs(total_p - 1.0) > 1e-12:
             raise OutOfRange(f"probabilities sum to {total_p!r}, expected 1 within 1e-12")
-        if abs(total_dp) > 1e-10:
-            raise OutOfRange(f"derivatives sum to {total_dp!r}, expected 0 within 1e-10")
+        # the derivatives cancel only to rounding of their own scale
+        bound = 1e-10 * max(1.0, abs_dp)
+        if abs(total_dp) > bound:
+            raise OutOfRange(f"derivatives sum to {total_dp!r}, expected 0 within {bound:g}")
         object.__setattr__(self, "outcomes", tuple(cleaned))
 
     @property
@@ -82,34 +81,14 @@ class OutcomeDistribution:
 def _evolved_amplitudes(
     vec: SparseState, config: ChainConfig, params: PhysParams
 ) -> tuple[dict[str, complex], dict[str, float]]:
-    """Evolved amplitude and generator eigenvalue per support bitstring.
-
-    Chains far from x0 keep their digits in both.  lambda_I is taken as
-    (1/2) sum_i (f_i - c) s_i + c (n/2 - k_I) with c = mean(f): the first
-    term sees only the centred profile and the second vanishes on balanced
-    strings.  The phase (1/2) sum_i s_i (gamma B0 t + gamma G t f_i) sums
-    per-qubit phases reduced modulo 4 pi, so it stays within n pi and is
-    not rounded at the scale of a large f.  Each sum is half the sum over
-    all qubits minus the sum over the excited ones.
-    """
-    gbt = params.gamma * params.b0 * params.t
-    ggt = params.gamma * params.grad * params.t
-    n = vec.n_qubits
-    c = math.fsum(config.f_values) / n
-    centred = [fx - c for fx in config.f_values]
-    turns = [math.remainder(gbt + ggt * fx, 4.0 * math.pi) for fx in config.f_values]
-    lam_all = 0.5 * math.fsum(centred)
-    phase_all = 0.5 * math.fsum(turns)
-    amps: dict[str, complex] = {}
-    lams: dict[str, float] = {}
-    for bits, amp in vec.terms:
-        excited = bits.encode("ascii").translate(_EXCITED)
-        phase = phase_all - sum(compress(turns, excited))
-        amps[bits] = amp * complex(math.cos(phase), -math.sin(phase))
-        lams[bits] = (
-            lam_all - sum(compress(centred, excited)) + c * (0.5 * n - bits.count("1"))
-        )
-    return amps, lams
+    """Evolved amplitude and generator eigenvalue lambda_I per support bitstring."""
+    support = [bits for bits, _ in vec.terms]
+    phase, lam = _evolution_terms(support, config, params)
+    amps = {
+        bits: amp * complex(math.cos(ph), -math.sin(ph))
+        for (bits, amp), ph in zip(vec.terms, phase.tolist())
+    }
+    return amps, dict(zip(support, lam.tolist()))
 
 
 def _parity_value_and_gradient(
@@ -133,7 +112,7 @@ def _parity_value_and_gradient(
         v = 0j
         g = 0j
         for bits, amp in amps.items():
-            partner = amps.get(bit_complement(bits))
+            partner = amps.get(bits.translate(_FLIP))
             if partner is None:
                 continue
             term = partner.conjugate() * amp
@@ -206,6 +185,18 @@ def _walsh_hadamard(vec: np.ndarray) -> np.ndarray:
     return out / math.sqrt(dim)
 
 
+def _basis_excitations(n_qubits: int) -> np.ndarray:
+    """k(I) for every dense basis index I (qubit 1 = most significant bit)."""
+    if n_qubits > _DENSE_CAP_QUBITS:
+        raise DimensionTooLarge(
+            f"J_x distribution needs n <= {_DENSE_CAP_QUBITS}, got {n_qubits}"
+        )
+    idx = np.arange(1 << n_qubits, dtype=np.uint32)
+    shifts = np.arange(n_qubits - 1, -1, -1, dtype=np.uint32)
+    bits = (idx[:, None] >> shifts[None, :]) & 1
+    return bits.sum(axis=1).astype(np.int64)
+
+
 def jx_distribution(
     state: State, config: ChainConfig, params: PhysParams
 ) -> OutcomeDistribution:
@@ -218,12 +209,8 @@ def jx_distribution(
     n = state.n_qubits
     if n != config.n:
         raise LengthMismatch(f"state has {n} qubits but chain has {config.n}")
-    if n > ORACLE_CAP_QUBITS:
-        raise DimensionTooLarge(
-            f"J_x distribution needs n <= {ORACLE_CAP_QUBITS}, got {n}"
-        )
     gt = params.gamma * params.t
-    counts = basis_excitations(n)
+    counts = _basis_excitations(n)
     probs = np.zeros(n + 1, dtype=np.float64)
     derivs = np.zeros(n + 1, dtype=np.float64)
     for weight, vec in state.eigenpairs:

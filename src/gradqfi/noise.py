@@ -28,7 +28,8 @@ from .core import (
     SparseState,
     SpectralState,
     State,
-    _lambda_of,
+    _eigen_pairs,
+    _evolution_terms,
     evolve,
     spectral_from_support_matrix,
 )
@@ -204,17 +205,7 @@ def steady_twirl(state: State) -> SpectralState:
             for bits, amp in comp.items():
                 col[index[bits]] = amp
             block += weight * np.outer(col, col.conj())
-        w, vecs = np.linalg.eigh(block)
-        for i in range(len(w) - 1, -1, -1):
-            if w[i] <= 1e-14:
-                break
-            col = vecs[:, i]
-            mask = np.abs(col) > 1e-14
-            norm = math.sqrt(float(np.vdot(col[mask], col[mask]).real))
-            terms = tuple(
-                (support[j], complex(col[j] / norm)) for j in np.flatnonzero(mask)
-            )
-            out.append((float(w[i]), SparseState(n, terms)))
+        out.extend(_eigen_pairs(block, support, n))
 
     total = sum(w for w, _ in out)
     return SpectralState(n, tuple((w / total, vec) for w, vec in out))
@@ -343,13 +334,8 @@ def mc_trajectory_average(
     factors = np.where(dk >= 0, char[np.abs(dk)], np.conj(char[np.abs(dk)]))
     rho = np.outer(psi, psi.conj()) * factors
 
-    gbt = params.gamma * params.b0 * params.t
-    ggt = params.gamma * params.grad * params.t
-    phases = np.array(
-        [gbt * (0.5 * n - bits.count("1")) + ggt * _lambda_of(bits, config.f_values)
-         for bits in support]
-    )
-    u = np.exp(-1j * phases)
+    phase, _ = _evolution_terms(support, config, params)
+    u = np.exp(-1j * phase)
     rho = (u[:, None] * u.conj()[None, :]) * rho
     rho = 0.5 * (rho + rho.conj().T)
     return spectral_from_support_matrix(rho, support, n)

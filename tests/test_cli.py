@@ -279,6 +279,19 @@ def test_cfi_saturates_qfi_for_ghz():
     assert json.loads(jx.stdout)["value"] == pytest.approx(cfi_value, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "state", [("ghz",), ("product",), ("psi-m", "--m", "2")], ids=["ghz", "product", "psi-m"]
+)
+def test_jx_cfi_far_from_x0_runs(state):
+    # derivatives of order gamma t sum f cancel only to their own rounding
+    flags = ("--state", *state, "--n", "6", "--grad", "0.4", "--x0=-1e8")
+    jx = run_cli("cfi", *flags, "--observable", "jx")
+    assert jx.returncode == 0, jx.stderr
+    if state == ("ghz",):
+        qfi_value = json.loads(run_cli("qfi", *flags).stdout)["value"]
+        assert json.loads(jx.stdout)["value"] == qfi_value
+
+
 def test_parity_json_structure():
     cp = run_cli(
         "parity", "--state", "ghz", "--n", "3", "--grad", "0.4",

@@ -22,24 +22,14 @@ from gradqfi import (
     SpectralState,
     SpectrumNotPositive,
     SupportTooLarge,
-    bit_complement,
     evolve,
-    excitation_count,
-    hamiltonian_eigenvalue,
     make_chain,
     make_named_state,
-    state_from_json,
-    state_overlap,
-    state_to_json,
-    tensor_product,
 )
-from gradqfi.core import (
-    basis_excitations,
-    spectral_from_mixture,
-    spectral_from_support_matrix,
-)
+from gradqfi.core import _evolution_terms, spectral_from_support_matrix
+from gradqfi.measurement import _basis_excitations
 
-from conftest import dense_hg, dense_rho, dense_unitary, random_chain, random_params, random_sparse, to_dense
+from conftest import dense_rho, dense_unitary, random_chain, random_params, random_sparse, to_dense
 
 finite_floats = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -143,7 +133,7 @@ def test_phys_params_validation():
 def test_sparse_state_canonicalizes_term_order():
     s = SparseState(2, (("10", 0.6), ("01", 0.8)))
     assert [bits for bits, _ in s.terms] == ["01", "10"]
-    assert s.amplitudes["10"] == 0.6 + 0j
+    assert dict(s.terms)["10"] == 0.6 + 0j
     assert s.support_size == 2
 
 
@@ -181,49 +171,16 @@ def test_spectral_state_validation():
 # ----------------------------------------------------------------------
 
 
-def test_hamiltonian_eigenvalue_signs():
-    chain = make_chain([1.0, 2.0])
-    # s = +1 for '0': lambda("00") = (f1 + f2)/2
-    assert hamiltonian_eigenvalue(chain, "00") == pytest.approx(1.5)
-    assert hamiltonian_eigenvalue(chain, "11") == pytest.approx(-1.5)
-    assert hamiltonian_eigenvalue(chain, "01") == pytest.approx(-0.5)
-    assert hamiltonian_eigenvalue(chain, "10") == pytest.approx(0.5)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 5])
-def test_hamiltonian_eigenvalue_matches_kron_diagonal(n):
-    rng = np.random.default_rng(101 + n)
-    chain = random_chain(rng, n)
-    diag = np.diag(dense_hg(chain))
-    for idx in range(1 << n):
-        bits = format(idx, f"0{n}b")
-        assert hamiltonian_eigenvalue(chain, bits) == pytest.approx(
-            float(diag[idx].real), rel=1e-12, abs=1e-14
-        )
-
-
 def test_basis_arrays_match_bitstring_definitions():
-    exc = basis_excitations(4)
+    exc = _basis_excitations(4)
     for idx in range(16):
         bits = format(idx, "04b")
-        assert exc[idx] == excitation_count(bits)
+        assert exc[idx] == bits.count("1")
 
 
 def test_dense_caps_are_enforced():
     with pytest.raises(DimensionTooLarge):
-        basis_excitations(13)
-
-
-def test_bit_complement_flips_eigenvalue_sign():
-    rng = np.random.default_rng(11)
-    chain = random_chain(rng, 5)
-    for idx in [0, 3, 17, 31]:
-        bits = format(idx, "05b")
-        flipped = bit_complement(bits)
-        assert bit_complement(flipped) == bits
-        assert hamiltonian_eigenvalue(chain, flipped) == pytest.approx(
-            -hamiltonian_eigenvalue(chain, bits), abs=1e-14
-        )
+        _basis_excitations(13)
 
 
 # ----------------------------------------------------------------------
@@ -260,7 +217,7 @@ def test_evolve_spectral_state_evolves_each_eigenvector():
     params = random_params(rng)
     up = make_named_state("ghz", 3)
     down = make_named_state("dicke", 3, k=1)
-    mixed = spectral_from_mixture(((0.5, up), (0.5, down)))
+    mixed = SpectralState(3, ((0.5, up), (0.5, down)))
     u = dense_unitary(chain, params)
     expected = u @ dense_rho(mixed) @ u.conj().T
     np.testing.assert_allclose(dense_rho(evolve(mixed, chain, params)), expected, atol=1e-12)
@@ -269,6 +226,32 @@ def test_evolve_spectral_state_evolves_each_eigenvector():
 def test_evolve_qubit_count_mismatch():
     with pytest.raises(LengthMismatch):
         evolve(make_named_state("ghz", 3), make_chain([0.0, 1.0]), PhysParams())
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4, 1e8])
+def test_evolution_terms_match_a_per_bitstring_loop(offset):
+    # the vectorized rule must reproduce, bit for bit, the plain loop that
+    # sums each bitstring's excited qubits in chain order
+    rng = np.random.default_rng(241)
+    chain = make_chain(offset + np.sort(rng.uniform(0.0, 1.0, size=5)), x0=0.0)
+    params = random_params(rng, grad=float(rng.uniform(0.1, 1.0)))
+    gbt = params.gamma * params.b0 * params.t
+    ggt = params.gamma * params.grad * params.t
+    c = math.fsum(chain.f_values) / 5
+    centred = [fx - c for fx in chain.f_values]
+    turns = [math.remainder(gbt + ggt * fx, 4.0 * math.pi) for fx in chain.f_values]
+    support = [format(i, "05b") for i in range(32)]
+    phase, lam = _evolution_terms(support, chain, params)
+    for bits, got_phase, got_lam in zip(support, phase.tolist(), lam.tolist()):
+        excited = [ch == "1" for ch in bits]
+        assert got_phase == 0.5 * math.fsum(turns) - sum(
+            t for t, e in zip(turns, excited) if e
+        )
+        assert got_lam == (
+            0.5 * math.fsum(centred)
+            - sum(g for g, e in zip(centred, excited) if e)
+            + c * (2.5 - bits.count("1"))
+        )
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +268,8 @@ def test_ghz_structure():
 def test_ghz_theta_relative_phase():
     theta = 0.7
     s = make_named_state("ghz-theta", 3, theta=theta)
-    ratio = s.amplitudes["111"] / s.amplitudes["000"]
+    amps = dict(s.terms)
+    ratio = amps["111"] / amps["000"]
     assert ratio == pytest.approx(complex(math.cos(theta), math.sin(theta)))
 
 
@@ -300,7 +284,7 @@ def test_product_state_is_uniform():
 @pytest.mark.parametrize("n,k", [(4, 1), (4, 2), (5, 2), (6, 3)])
 def test_odf_two_branch_structure(n, k):
     s = make_named_state("odf", n, k=k)
-    assert set(s.amplitudes) == {"1" * k + "0" * (n - k), "0" * (n - k) + "1" * k}
+    assert {bits for bits, _ in s.terms} == {"1" * k + "0" * (n - k), "0" * (n - k) + "1" * k}
 
 
 def test_odf_degenerate_branches_merge():
@@ -311,13 +295,13 @@ def test_odf_degenerate_branches_merge():
 def test_dicke_counts_and_uniformity():
     s = make_named_state("dicke", 5, k=2)
     assert s.support_size == math.comb(5, 2)
-    assert all(excitation_count(bits) == 2 for bits, _ in s.terms)
+    assert all(bits.count("1") == 2 for bits, _ in s.terms)
     assert all(amp == pytest.approx(math.comb(5, 2) ** -0.5) for _, amp in s.terms)
 
 
 def test_psi_m_blocks():
     s = make_named_state("psi-m", 5, m=2)
-    assert set(s.amplitudes) == {"11000", "00111"}
+    assert {bits for bits, _ in s.terms} == {"11000", "00111"}
     # m = 0 reduces to the GHZ pair
     assert make_named_state("psi-m", 4, m=0).terms == make_named_state("ghz", 4).terms
 
@@ -335,58 +319,15 @@ def test_named_state_argument_validation():
         make_named_state("ghz", 0)
 
 
-# ----------------------------------------------------------------------
-# algebra helpers
-# ----------------------------------------------------------------------
-
-
-def test_state_overlap_matches_dense_inner_product():
-    rng = np.random.default_rng(31)
-    a = random_sparse(rng, 4, size=6)
-    b = random_sparse(rng, 4, size=3)
-    assert state_overlap(a, b) == pytest.approx(complex(np.vdot(to_dense(a), to_dense(b))))
-    with pytest.raises(LengthMismatch):
-        state_overlap(a, random_sparse(rng, 3))
-
-
-def test_tensor_product_matches_kron():
-    rng = np.random.default_rng(37)
-    a = random_sparse(rng, 2, size=3)
-    b = random_sparse(rng, 3, size=4)
-    prod = tensor_product(a, b)
-    assert prod.n_qubits == 5
-    np.testing.assert_allclose(to_dense(prod), np.kron(to_dense(a), to_dense(b)), atol=1e-15)
-
-
-@given(st.integers(1, 5), st.integers(0, 2**20 - 1))
-def test_state_json_round_trip(n, raw_seed):
-    rng = np.random.default_rng(raw_seed)
-    state = random_sparse(rng, n)
-    assert state_from_json(state_to_json(state)).terms == state.terms
+@pytest.mark.parametrize("name", ["product-plus", "GHZ", "psi_m"])
+def test_named_state_takes_only_canonical_names(name):
+    with pytest.raises(OutOfRange):
+        make_named_state(name, 2, m=1)
 
 
 # ----------------------------------------------------------------------
 # spectral assembly
 # ----------------------------------------------------------------------
-
-
-def test_spectral_from_mixture_recovers_orthogonal_weights():
-    up = SparseState(2, (("00", 1.0),))
-    down = SparseState(2, (("11", 1.0),))
-    mix = spectral_from_mixture(((0.7, up), (0.3, down)))
-    weights = sorted((w for w, _ in mix.eigenpairs), reverse=True)
-    assert weights == pytest.approx([0.7, 0.3])
-    np.testing.assert_allclose(
-        dense_rho(mix), 0.7 * dense_rho(up) + 0.3 * dense_rho(down), atol=1e-12
-    )
-
-
-def test_spectral_from_mixture_weight_validation():
-    up = SparseState(1, (("0", 1.0),))
-    with pytest.raises(NonNormalizedState):
-        spectral_from_mixture(((0.7, up),))
-    with pytest.raises(NonNormalizedState):
-        spectral_from_mixture(())
 
 
 def test_spectral_from_support_matrix_rejects_negative_spectra():

@@ -15,6 +15,7 @@ from gradqfi import (
     classical_fisher,
     coherence_factor,
     error_propagation,
+    evolve,
     jx_distribution,
     make_chain,
     make_named_state,
@@ -109,6 +110,29 @@ def test_parity_matches_dense_oracle(n):
         assert parity_expectation(state, chain, params) == pytest.approx(
             oracle_parity(state, chain, params), abs=1e-12
         )
+
+
+@pytest.mark.parametrize("offset", [1e4, 1e8])
+def test_parity_readout_matches_the_evolved_state_far_from_x0(offset):
+    # parity_expectation and evolve evolve the same bitstrings; contracting
+    # sigma_x^(x)n over evolve's amplitudes must give the readout's value
+    rng = np.random.default_rng(760)
+    chain = make_chain(offset + np.sort(rng.uniform(0.0, 1.0, size=6)), x0=0.0)
+    params = random_params(rng, grad=float(rng.uniform(0.1, 1.0)))
+    flip = str.maketrans("01", "10")
+    for state in (
+        make_named_state("ghz", 6),
+        make_named_state("product", 6),
+        make_named_state("odf", 6, k=3),
+    ):
+        amps = dict(evolve(state, chain, params).terms)
+        contracted = sum(
+            amps[bits.translate(flip)].conjugate() * amp
+            for bits, amp in amps.items()
+            if bits.translate(flip) in amps
+        )
+        got = parity_expectation(state, chain, params)
+        assert abs(contracted.real - got) <= 1e-12, f"{contracted.real!r} vs {got!r}"
 
 
 def test_parity_matches_dense_oracle_for_mixtures():
