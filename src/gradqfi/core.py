@@ -12,10 +12,13 @@ long as f(0) = 0).  Qubits are labeled in ascending order of their
 profile value f(x_i - x0); the leftmost character of a basis bitstring
 belongs to qubit 1 (the smallest f).  sigma_z |0> = +|0>.
 
-The gradient reaches a state only through the phase each basis bitstring
-picks up; _evolution_terms computes that phase and the eigenvalue lambda_I
-of H_G once, for evolve, the measurement readouts and the Monte Carlo
-trajectories alike.
+A pure state is a bool matrix with one row per basis bitstring (column i
+is qubit i + 1) and a complex amplitude vector; every layer reads those
+arrays, and only SparseState.from_terms and SparseState.terms spell the
+rows as '0'/'1' strings.  The gradient reaches a state only through the
+phase each row picks up; _evolution_terms computes that phase and the
+eigenvalue lambda_I of H_G once, for evolve, the measurement readouts and
+the Monte Carlo trajectories alike.
 
 Everything here is immutable and side-effect free, so all operations
 are safe to call concurrently.
@@ -23,10 +26,10 @@ are safe to call concurrently.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -200,54 +203,95 @@ class PhysParams:
 # ----------------------------------------------------------------------
 
 
-def _check_bits(bits: str, n_qubits: int) -> None:
-    if len(bits) != n_qubits:
-        raise LengthMismatch(
-            f"bitstring {bits!r} has length {len(bits)}, expected n_qubits={n_qubits}"
-        )
-    if bits.strip("01"):
-        raise OutOfRange(f"bitstring {bits!r} must contain only '0' and '1'")
+def _keys(bits: np.ndarray) -> np.ndarray:
+    """The rows of a bit matrix as fixed-width byte strings (one 0/1 byte per qubit,
+    no copy), which sort and search exactly as the bitstrings do."""
+    return np.ascontiguousarray(bits).view(f"S{bits.shape[1]}").ravel()
 
 
-@dataclass(frozen=True)
+def _cmul(a: np.ndarray, re, im) -> np.ndarray:
+    """a * complex(re, im) elementwise, rounded as CPython's complex product is
+    (numpy's complex multiply may round the last digit differently)."""
+    out = np.empty_like(a)
+    out.real = a.real * re - a.imag * im
+    out.imag = a.real * im + a.imag * re
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class SparseState:
-    """Pure state as a sparse list of (bitstring, amplitude) terms.
+    """Pure state as a bit matrix and an amplitude vector.
 
-    Terms are canonicalized to ascending bitstring order.  Bitstrings
-    are unique, have length n_qubits, and the amplitudes form a unit
-    vector within 1e-12.
+    bits is a read-only (terms, n_qubits) bool matrix (column i is qubit
+    i + 1) with unique rows, sorted on construction into ascending
+    bitstring order; amps holds each row's complex128 amplitude, a unit
+    vector within 1e-12.  The constructor may keep, and make read-only,
+    the arrays it is given instead of copying them.
     """
 
     n_qubits: int
-    terms: tuple[tuple[str, complex], ...]
+    bits: np.ndarray
+    amps: np.ndarray
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise OutOfRange(f"n_qubits must be >= 1, got {self.n_qubits!r}")
-        terms = tuple(
-            sorted(((str(b), complex(a)) for b, a in self.terms), key=lambda term: term[0])
-        )
-        if not terms:
+        n = self.n_qubits
+        if n < 1:
+            raise OutOfRange(f"n_qubits must be >= 1, got {n!r}")
+        bits = np.ascontiguousarray(self.bits, dtype=bool)
+        amps = np.ascontiguousarray(self.amps, dtype=np.complex128)
+        if bits.ndim != 2 or bits.shape[1] != n or amps.shape != bits.shape[:1]:
+            raise LengthMismatch(f"bits {bits.shape} and amps {amps.shape} do not fit {n} qubits")
+        if not len(amps):
             raise NonNormalizedState("state needs at least one term")
-        if len(terms) > SPARSE_CAP:
-            raise SupportTooLarge(f"{len(terms)} terms exceed the sparse cap {SPARSE_CAP}")
-        seen = set()
-        norm2 = 0.0
-        for bits, amp in terms:
-            _check_bits(bits, self.n_qubits)
-            if bits in seen:
-                raise OutOfRange(f"duplicate basis bitstring {bits!r}")
-            seen.add(bits)
-            if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
-                raise NonFiniteCoordinate(f"amplitude {amp!r} is not finite")
-            norm2 += abs(amp) ** 2
-        if abs(norm2 - 1.0) > NORM_TOL:
-            raise NonNormalizedState(f"sum of |amplitude|^2 is {norm2!r}, expected 1 within {NORM_TOL:g}")
-        object.__setattr__(self, "terms", terms)
+        if len(amps) > SPARSE_CAP:
+            raise SupportTooLarge(f"{len(amps)} terms exceed the sparse cap {SPARSE_CAP}")
+        keys = _keys(bits)
+        ascending = keys[1:] > keys[:-1]
+        if np.count_nonzero(ascending) < len(ascending):  # strictly ascending is canonical
+            order = np.argsort(keys, kind="stable")
+            keys, bits, amps = keys[order], bits[order], amps[order]
+            dup = np.flatnonzero(keys[1:] == keys[:-1])
+            if len(dup):
+                bad = "".join("01"[b] for b in bits[dup[0]].tolist())
+                raise OutOfRange(f"duplicate basis bitstring {bad!r}")
+        norm2 = float(np.vdot(amps, amps).real)
+        if not math.isfinite(norm2) and not np.isfinite(amps).all():
+            bad = complex(amps[~np.isfinite(amps)][0])
+            raise NonFiniteCoordinate(f"amplitude {bad!r} is not finite")
+        if not abs(norm2 - 1.0) <= NORM_TOL:
+            raise NonNormalizedState(
+                f"sum of |amplitude|^2 is {norm2!r}, expected 1 within {NORM_TOL:g}"
+            )
+        bits.setflags(write=False)
+        amps.setflags(write=False)
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "amps", amps)
+
+    @classmethod
+    def from_terms(cls, n_qubits: int, terms: Iterable[tuple[str, complex]]) -> "SparseState":
+        """State from (bitstring, amplitude) pairs in any order, qubit 1 leftmost."""
+        if n_qubits < 1:
+            raise OutOfRange(f"n_qubits must be >= 1, got {n_qubits!r}")
+        terms = [(str(bits), complex(amp)) for bits, amp in terms]
+        for bits, _ in terms:
+            if len(bits) != n_qubits:
+                raise LengthMismatch(
+                    f"bitstring {bits!r} has length {len(bits)}, expected n_qubits={n_qubits}"
+                )
+            if bits.strip("01"):
+                raise OutOfRange(f"bitstring {bits!r} must contain only '0' and '1'")
+        raw = np.frombuffer("".join(bits for bits, _ in terms).encode("ascii"), dtype=np.uint8)
+        return cls(n_qubits, raw.reshape(-1, n_qubits) == ord("1"), [amp for _, amp in terms])
+
+    @property
+    def terms(self) -> tuple[tuple[str, complex], ...]:
+        """(bitstring, amplitude) pairs in ascending order, rebuilt on each access."""
+        rows = (self.bits.view(np.uint8) + ord("0")).view(f"S{self.n_qubits}").ravel()
+        return tuple(zip(rows.astype(str).tolist(), self.amps.tolist()))
 
     @property
     def support_size(self) -> int:
-        return len(self.terms)
+        return len(self.amps)
 
     @property
     def eigenpairs(self) -> tuple[tuple[float, "SparseState"], ...]:
@@ -281,7 +325,16 @@ class SpectralState:
             total += w
         if abs(total - 1.0) > NORM_TOL:
             raise NonNormalizedState(f"weights sum to {total!r}, expected 1 within {NORM_TOL:g}")
-        _check_orthogonality([vec for _, vec in pairs])
+        if len(pairs) > 1:
+            _, v = _joint_support([(vec.bits, vec.amps) for _, vec in pairs], shared=True)
+            gram = v.conj() @ v.T
+            np.fill_diagonal(gram, 0.0)
+            worst = float(np.abs(gram).max())
+            if worst >= ORTHO_TOL:
+                raise NonNormalizedState(
+                    f"eigenvectors are not orthogonal within {ORTHO_TOL:g} "
+                    f"(worst overlap {worst:.3e})"
+                )
         object.__setattr__(self, "eigenpairs", pairs)
 
     @property
@@ -292,41 +345,29 @@ class SpectralState:
 State = SparseState | SpectralState
 
 
-def _check_orthogonality(vectors: Sequence["SparseState"]) -> None:
-    """Verify pairwise overlaps stay below ORTHO_TOL via the Gram matrix.
-
-    Small united supports go through one dense Gram product; larger ones
-    are accumulated bitstring-wise, which is linear in the total term
-    count whenever supports are (near-)disjoint, the only way a large
-    orthogonal family arises here.
-    """
-    r = len(vectors)
-    if r < 2:
-        return
-    support = sorted({bits for vec in vectors for bits, _ in vec.terms})
-    gram = np.zeros((r, r), dtype=np.complex128)
-    if len(support) <= 8192:
-        index = {bits: i for i, bits in enumerate(support)}
-        mat = np.zeros((r, len(support)), dtype=np.complex128)
-        for i, vec in enumerate(vectors):
-            for bits, amp in vec.terms:
-                mat[i, index[bits]] = amp
-        gram = mat.conj() @ mat.T
-    else:
-        by_bits: dict[str, list[tuple[int, complex]]] = {}
-        for i, vec in enumerate(vectors):
-            for bits, amp in vec.terms:
-                by_bits.setdefault(bits, []).append((i, amp))
-        for contributors in by_bits.values():
-            for i, ai in contributors:
-                for j, aj in contributors:
-                    gram[i, j] += ai.conjugate() * aj
-    np.fill_diagonal(gram, 0.0)
-    worst = float(np.abs(gram).max())
-    if worst >= ORTHO_TOL:
-        raise NonNormalizedState(
-            f"eigenvectors are not orthogonal within {ORTHO_TOL:g} (worst overlap {worst:.3e})"
-        )
+def _joint_support(
+    vectors: Sequence[tuple[np.ndarray, np.ndarray]], shared: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Union support of (bits, amps) vectors, in order of first appearance, and
+    V[a, j], vector a's amplitude on support row j.  With shared, only rows that
+    several vectors touch are kept: the only ones an overlap can come from."""
+    if len(vectors) == 1 and not shared:
+        return vectors[0][0], vectors[0][1][None, :]
+    bits = np.concatenate([b for b, _ in vectors])
+    keys = _keys(bits)
+    support, first = np.unique(keys, return_index=True)
+    where = np.searchsorted(support, keys)  # each term's bitstring in sorted order
+    kept = np.argsort(first)  # the bitstrings in order of first appearance
+    if shared:
+        kept = kept[np.bincount(where)[kept] > 1]
+    column = np.full(len(support), -1)
+    column[kept] = np.arange(len(kept))
+    column = column[where]
+    on = column >= 0
+    row = np.repeat(np.arange(len(vectors)), [len(amps) for _, amps in vectors])
+    v = np.zeros((len(vectors), len(kept)), dtype=np.complex128)
+    v[row[on], column[on]] = np.concatenate([amps for _, amps in vectors])[on]
+    return bits[first[kept]], v
 
 
 # ----------------------------------------------------------------------
@@ -335,9 +376,9 @@ def _check_orthogonality(vectors: Sequence["SparseState"]) -> None:
 
 
 def _evolution_terms(
-    bitstrings: Sequence[str], config: ChainConfig, params: PhysParams
+    bits: np.ndarray, config: ChainConfig, params: PhysParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Evolution phase and H_G eigenvalue lambda_I of each basis bitstring.
+    """Evolution phase and H_G eigenvalue lambda_I of each row of a bit matrix.
 
     lambda_I = (1/2) sum_i (f_i - c) s_i + c (n/2 - k_I) with c = mean(f):
     the first term sees only the centred profile and the second vanishes on
@@ -348,13 +389,14 @@ def _evolution_terms(
     excited qubits, accumulated qubit by qubit in chain order.
     """
     n = config.n
+    if bits.shape[1] != n:
+        raise LengthMismatch(f"state has {bits.shape[1]} qubits but chain has {n}")
     gbt = params.gamma * params.b0 * params.t
     ggt = params.gamma * params.grad * params.t
     c = math.fsum(config.f_values) / n
     centred = [fx - c for fx in config.f_values]
     turns = [math.remainder(gbt + ggt * fx, 4.0 * math.pi) for fx in config.f_values]
-    raw = np.frombuffer("".join(bitstrings).encode("ascii"), dtype=np.uint8)
-    excited = raw.reshape(-1, n).T == ord("1")  # (qubit, term)
+    excited = bits.T  # (qubit, term)
     phase = np.zeros(excited.shape[1])
     lam = np.zeros(excited.shape[1])
     for row, turn, g in zip(excited, turns, centred):
@@ -376,14 +418,9 @@ def evolve(state: State, config: ChainConfig, params: PhysParams) -> State:
     if isinstance(state, SpectralState):
         pairs = tuple((w, evolve(v, config, params)) for w, v in state.eigenpairs)
         return SpectralState(state.n_qubits, pairs)
-    n = state.n_qubits
-    if n != config.n:
-        raise LengthMismatch(f"state has {n} qubits but chain has {config.n}")
-    phase, _ = _evolution_terms([bits for bits, _ in state.terms], config, params)
-    return SparseState(n, tuple(
-        (bits, amp * complex(math.cos(ph), -math.sin(ph)))
-        for (bits, amp), ph in zip(state.terms, phase.tolist())
-    ))
+    phase, _ = _evolution_terms(state.bits, config, params)
+    amps = _cmul(state.amps, np.cos(phase), -np.sin(phase))
+    return SparseState(state.n_qubits, state.bits, amps)
 
 
 # ----------------------------------------------------------------------
@@ -416,14 +453,18 @@ def make_named_state(
         raise OutOfRange(f"n_qubits must be >= 1, got {n_qubits!r}")
     if name not in STATE_NAMES:
         raise OutOfRange(f"unknown state name {name!r}; choose from {STATE_NAMES}")
+    if name in ("odf", "dicke", "psi-m"):
+        label, value = ("m", m) if name == "psi-m" else ("k", k)
+        if value is None:
+            raise OutOfRange(f"{name} state requires {label}")
+        if not 0 <= value <= n_qubits:
+            raise OutOfRange(f"{label} must be in [0, {n_qubits}], got {value!r}")
 
     if name == "ghz":
-        return SparseState(
-            n_qubits, (("0" * n_qubits, _SQRT_HALF), ("1" * n_qubits, _SQRT_HALF))
-        )
+        return _two_branch(n_qubits, n_qubits, 0)
     if name == "ghz-theta":
         rel = complex(math.cos(theta), math.sin(theta)) * _SQRT_HALF
-        return SparseState(n_qubits, (("0" * n_qubits, _SQRT_HALF), ("1" * n_qubits, rel)))
+        return _two_branch(n_qubits, n_qubits, 0, rel)
     if name == "product":
         if (1 << n_qubits) > SPARSE_CAP or n_qubits > 20:
             raise SupportTooLarge(
@@ -431,42 +472,40 @@ def make_named_state(
                 "use the closed-form paths instead"
             )
         amp = 2.0 ** (-0.5 * n_qubits)
-        terms = tuple((format(i, f"0{n_qubits}b"), amp) for i in range(1 << n_qubits))
-        return SparseState(n_qubits, terms)
+        return SparseState(n_qubits, _product_bits(n_qubits), np.full(1 << n_qubits, amp, complex))
     if name == "odf":
-        if k is None:
-            raise OutOfRange("odf state requires k")
-        if not 0 <= k <= n_qubits:
-            raise OutOfRange(f"k must be in [0, {n_qubits}], got {k!r}")
-        a = "1" * k + "0" * (n_qubits - k)
-        b = "0" * (n_qubits - k) + "1" * k
-        if a == b:
-            return SparseState(n_qubits, ((a, 1.0),))
-        return SparseState(n_qubits, ((a, _SQRT_HALF), (b, _SQRT_HALF)))
-    if name == "dicke":
-        if k is None:
-            raise OutOfRange("dicke state requires k")
-        if not 0 <= k <= n_qubits:
-            raise OutOfRange(f"k must be in [0, {n_qubits}], got {k!r}")
-        count = math.comb(n_qubits, k)
-        if count > SPARSE_CAP:
-            raise SupportTooLarge(f"dicke state needs C({n_qubits},{k})={count} terms, above the sparse cap")
-        amp = 1.0 / math.sqrt(count)
-        terms = []
-        for ones in combinations(range(n_qubits), k):
-            chars = ["0"] * n_qubits
-            for i in ones:
-                chars[i] = "1"
-            terms.append(("".join(chars), amp))
-        return SparseState(n_qubits, tuple(terms))
-    # psi-m
-    if m is None:
-        raise OutOfRange("psi-m state requires m")
-    if not 0 <= m <= n_qubits:
-        raise OutOfRange(f"m must be in [0, {n_qubits}], got {m!r}")
-    a = "1" * m + "0" * (n_qubits - m)
-    b = "0" * m + "1" * (n_qubits - m)
-    return SparseState(n_qubits, ((a, _SQRT_HALF), (b, _SQRT_HALF)))
+        if k in (0, n_qubits):  # both branches are the same bitstring
+            return SparseState(n_qubits, np.full((1, n_qubits), k > 0), np.ones(1, complex))
+        return _two_branch(n_qubits, k, k)
+    if name == "psi-m":
+        return _two_branch(n_qubits, m, n_qubits - m)
+    # dicke
+    count = math.comb(n_qubits, k)
+    if count > SPARSE_CAP:
+        raise SupportTooLarge(
+            f"dicke state needs C({n_qubits},{k})={count} terms, above the sparse cap"
+        )
+    combos = itertools.chain.from_iterable(itertools.combinations(range(n_qubits), k))
+    ones = np.fromiter(combos, dtype=np.min_scalar_type(n_qubits), count=count * k)
+    bits = np.zeros((count, n_qubits), dtype=bool)
+    rows = np.arange(count - 1, -1, -1)  # combinations come in descending bitstring order
+    for col in ones.reshape(count, k).T:
+        bits[rows, col] = True
+    return SparseState(n_qubits, bits, np.full(count, 1.0 / math.sqrt(count), complex))
+
+
+def _two_branch(n: int, first: int, last: int, amp_first: complex = _SQRT_HALF) -> SparseState:
+    """(|0..0 1^last> + amp_first * sqrt(2) |1^first 0..0>) / sqrt(2)."""
+    bits = np.zeros((2, n), dtype=bool)
+    bits[0, n - last :] = True
+    bits[1, :first] = True
+    return SparseState(n, bits, np.array((_SQRT_HALF, amp_first), dtype=np.complex128))
+
+
+def _product_bits(n: int) -> np.ndarray:
+    """All 2^n bitstrings in ascending order, as a (2^n, n) bit matrix (n <= 32)."""
+    index = (np.arange(1 << n, dtype=np.uint32) << np.uint32(32 - n)).astype(">u4")
+    return np.unpackbits(index.view(np.uint8).reshape(-1, 4), axis=1, count=n).view(bool)
 
 
 # ----------------------------------------------------------------------
@@ -482,9 +521,9 @@ _AMP_DROP = 1e-14
 
 
 def _eigen_pairs(
-    rho: np.ndarray, support: Sequence[str], n_qubits: int
+    rho: np.ndarray, support: np.ndarray, n_qubits: int
 ) -> list[tuple[float, SparseState]]:
-    """(eigenvalue, eigenvector) of a Hermitian block over an explicit support.
+    """(eigenvalue, eigenvector) of a Hermitian block over a support bit matrix.
 
     Keeps the eigenvalues above _WEIGHT_DROP, heaviest first and not
     normalized; eigenvector entries at or below _AMP_DROP are dropped and
@@ -500,21 +539,17 @@ def _eigen_pairs(
         col = vecs[:, i]
         mask = np.abs(col) > _AMP_DROP
         col = col[mask] / math.sqrt(float(np.vdot(col[mask], col[mask]).real))
-        terms = tuple(
-            (support[j], complex(col[pos]))
-            for pos, j in enumerate(np.flatnonzero(mask))
-        )
-        pairs.append((float(w[i]), SparseState(n_qubits, terms)))
+        pairs.append((float(w[i]), SparseState(n_qubits, support[mask], col)))
     return pairs
 
 
 def spectral_from_support_matrix(
-    rho: np.ndarray, support: Sequence[str], n_qubits: int
+    rho: np.ndarray, support: np.ndarray, n_qubits: int
 ) -> SpectralState:
     """Diagonalize a Hermitian density block given over an explicit support.
 
-    rho is an s x s matrix over the basis bitstrings in `support` (unit
-    trace).  Returns the eigendecomposition as a SpectralState, with
+    rho is an s x s matrix over the s rows of the bit matrix `support`
+    (unit trace).  Returns the eigendecomposition as a SpectralState, with
     numerical-noise eigenvalues dropped and weights renormalized.
     """
     pairs = _eigen_pairs(rho, support, n_qubits)

@@ -10,9 +10,13 @@ Probabilities and their analytic d/dG derivatives come from the same
 evolved amplitudes: every amplitude carries exp(-i phase(I)) with
 d phase / dG = gamma t lambda_I, so derivatives are exact (no finite
 differences anywhere outside the test suite).  phase(I) and lambda_I come
-from core._evolution_terms, the rule evolve uses, so a readout and the
-evolved state agree digit for digit even on chains far from x0.  The
-J_x readout builds dense 2^N vectors and is capped at N = 12.
+from core._evolution_terms on the state's bit matrix, the rule evolve
+uses, so a readout and the evolved state agree digit for digit even on
+chains far from x0.  The parity readout finds each row's complement by
+searching the key of ~bits among the sorted row keys; the J_x
+readout scatters the amplitudes into dense 2^N vectors and is capped at
+N = 12.  A distribution the library computes that fails its own sum
+checks raises SelfCheckFailed, not the OutOfRange a user-built one gets.
 
 Note on two-branch states: sigma_x^(x)N connects a bitstring only to its
 complement, so an unbalanced two-branch state (k excitations vs k
@@ -28,15 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChainConfig, PhysParams, SparseState, State, _evolution_terms
-from .errors import DimensionTooLarge, FlatResponse, LengthMismatch, OutOfRange
+from .core import ChainConfig, PhysParams, State, _cmul, _evolution_terms, _keys, _product_bits
+from .errors import DimensionTooLarge, FlatResponse, LengthMismatch, OutOfRange, SelfCheckFailed
 from .qfi import FisherReport
 
 _P_FLOOR = 1e-15
 _DP_FLOOR = 1e-12
 # J_x readout builds dense 2^n vectors, so it is capped here.
 _DENSE_CAP_QUBITS = 12
-_FLIP = str.maketrans("01", "10")
 
 
 @dataclass(frozen=True)
@@ -78,17 +81,9 @@ class OutcomeDistribution:
         return tuple(dp for _, _, dp in self.outcomes)
 
 
-def _evolved_amplitudes(
-    vec: SparseState, config: ChainConfig, params: PhysParams
-) -> tuple[dict[str, complex], dict[str, float]]:
-    """Evolved amplitude and generator eigenvalue lambda_I per support bitstring."""
-    support = [bits for bits, _ in vec.terms]
-    phase, lam = _evolution_terms(support, config, params)
-    amps = {
-        bits: amp * complex(math.cos(ph), -math.sin(ph))
-        for (bits, amp), ph in zip(vec.terms, phase.tolist())
-    }
-    return amps, dict(zip(support, lam.tolist()))
+def _seq_sum(x: np.ndarray) -> float:
+    """Sum in index order, as a Python loop adds (np.sum adds pairwise)."""
+    return float(np.cumsum(x)[-1]) if len(x) else 0.0
 
 
 def _parity_value_and_gradient(
@@ -99,27 +94,24 @@ def _parity_value_and_gradient(
     The contraction pairs each bitstring with its complement:
     <X^N> = sum_I conj(a'_comp(I)) a'_I; differentiating the evolution
     phases gives the exact gradient term -2i gamma t lambda_I per pair.
+    The complement of row I is the key of ~bits[I], looked up in the
+    sorted keys of the support.
     """
-    if state.n_qubits != config.n:
-        raise LengthMismatch(
-            f"state has {state.n_qubits} qubits but chain has {config.n}"
-        )
     gt = params.gamma * params.t
     value = 0.0
     grad = 0.0
     for weight, vec in state.eigenpairs:
-        amps, lams = _evolved_amplitudes(vec, config, params)
-        v = 0j
-        g = 0j
-        for bits, amp in amps.items():
-            partner = amps.get(bits.translate(_FLIP))
-            if partner is None:
-                continue
-            term = partner.conjugate() * amp
-            v += term
-            g += term * complex(0.0, -2.0 * gt * lams[bits])
-        value += weight * v.real
-        grad += weight * g.real
+        phase, lam = _evolution_terms(vec.bits, config, params)
+        amps = _cmul(vec.amps, np.cos(phase), -np.sin(phase))
+        keys = _keys(vec.bits)
+        flipped = _keys(~vec.bits)
+        at = np.minimum(np.searchsorted(keys, flipped), len(keys) - 1)
+        paired = np.flatnonzero(keys[at] == flipped)
+        partner, amps = amps[at[paired]], amps[paired]
+        term = _cmul(amps, partner.real, -partner.imag)
+        dterm = _cmul(term, 0.0, (-2.0 * gt) * lam[paired])
+        value += weight * _seq_sum(term.real)
+        grad += weight * _seq_sum(dterm.real)
     return value, grad
 
 
@@ -140,12 +132,17 @@ def parity_distribution(
 ) -> OutcomeDistribution:
     """Two-outcome parity statistics p(+/-1) = (1 +/- <X^N>)/2 with exact dG derivatives."""
     value, grad = _parity_value_and_gradient(state, config, params)
-    return OutcomeDistribution(
-        (
-            ("+1", 0.5 * (1.0 + value), 0.5 * grad),
-            ("-1", 0.5 * (1.0 - value), -0.5 * grad),
-        )
+    return _computed_distribution(
+        (("+1", 0.5 * (1.0 + value), 0.5 * grad), ("-1", 0.5 * (1.0 - value), -0.5 * grad))
     )
+
+
+def _computed_distribution(outcomes) -> OutcomeDistribution:
+    """A distribution the library computed: a failed sum check is its own fault."""
+    try:
+        return OutcomeDistribution(outcomes)
+    except OutOfRange as exc:
+        raise SelfCheckFailed(f"readout failed its consistency check: {exc}") from exc
 
 
 def classical_fisher(dist: OutcomeDistribution) -> FisherReport:
@@ -191,10 +188,7 @@ def _basis_excitations(n_qubits: int) -> np.ndarray:
         raise DimensionTooLarge(
             f"J_x distribution needs n <= {_DENSE_CAP_QUBITS}, got {n_qubits}"
         )
-    idx = np.arange(1 << n_qubits, dtype=np.uint32)
-    shifts = np.arange(n_qubits - 1, -1, -1, dtype=np.uint32)
-    bits = (idx[:, None] >> shifts[None, :]) & 1
-    return bits.sum(axis=1).astype(np.int64)
+    return _product_bits(n_qubits).sum(axis=1)
 
 
 def jx_distribution(
@@ -213,24 +207,23 @@ def jx_distribution(
     counts = _basis_excitations(n)
     probs = np.zeros(n + 1, dtype=np.float64)
     derivs = np.zeros(n + 1, dtype=np.float64)
+    place = 1 << np.arange(n - 1, -1, -1)  # qubit 1 is the most significant bit
     for weight, vec in state.eigenpairs:
-        amps, lams = _evolved_amplitudes(vec, config, params)
-        dense = np.zeros(1 << n, dtype=np.complex128)
-        ddense = np.zeros(1 << n, dtype=np.complex128)
-        for bits, amp in amps.items():
-            idx = int(bits, 2)
-            dense[idx] = amp
-            ddense[idx] = amp * complex(0.0, -gt * lams[bits])
+        phase, lam = _evolution_terms(vec.bits, config, params)
+        amps = _cmul(vec.amps, np.cos(phase), -np.sin(phase))
+        idx = vec.bits @ place
+        dense, ddense = np.zeros((2, 1 << n), dtype=np.complex128)
+        dense[idx] = amps
+        ddense[idx] = _cmul(amps, 0.0, -gt * lam)
         x_amp = _walsh_hadamard(dense)
         x_damp = _walsh_hadamard(ddense)
         p = x_amp.real**2 + x_amp.imag**2
         dp = 2.0 * (x_amp.conj() * x_damp).real
         probs += weight * np.bincount(counts, weights=p, minlength=n + 1)
         derivs += weight * np.bincount(counts, weights=dp, minlength=n + 1)
-    outcomes = tuple(
-        (f"{0.5 * n - k:g}", float(probs[k]), float(derivs[k])) for k in range(n + 1)
+    return _computed_distribution(
+        tuple((f"{0.5 * n - k:g}", float(probs[k]), float(derivs[k])) for k in range(n + 1))
     )
-    return OutcomeDistribution(outcomes)
 
 
 def error_propagation(

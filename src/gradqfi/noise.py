@@ -30,11 +30,12 @@ from .core import (
     State,
     _eigen_pairs,
     _evolution_terms,
+    _joint_support,
+    _keys,
     evolve,
     spectral_from_support_matrix,
 )
 from .errors import (
-    LengthMismatch,
     NegativeTime,
     OutOfRange,
     SupportTooLarge,
@@ -150,18 +151,16 @@ def apply_channel(state: SparseState, model: NoiseModel, t: float) -> SpectralSt
         raise OutOfRange("apply_channel takes a pure SparseState input")
     if t < 0 or math.isnan(t):
         raise NegativeTime(f"t must be >= 0, got {t!r}")
-    support = [bits for bits, _ in state.terms]
-    size = len(support)
+    _check_dense("channel", state.support_size)
+    k = state.bits.sum(axis=1)
+    factors = np.array([coherence_factor(model, t, dk) for dk in range(state.n_qubits + 1)])
+    rho = np.outer(state.amps, state.amps.conj()) * factors[np.abs(k[:, None] - k[None, :])]
+    return spectral_from_support_matrix(rho, state.bits, state.n_qubits)
+
+
+def _check_dense(what: str, size: int) -> None:
     if size > SUPPORT_CAP:
-        raise SupportTooLarge(
-            f"channel support {size} exceeds the dense cap {SUPPORT_CAP}"
-        )
-    psi = np.array([amp for _, amp in state.terms], dtype=np.complex128)
-    k = np.array([bits.count("1") for bits in support], dtype=np.int64)
-    n = state.n_qubits
-    factors = np.array([coherence_factor(model, t, dk) for dk in range(n + 1)])
-    rho = np.outer(psi, psi.conj()) * factors[np.abs(k[:, None] - k[None, :])]
-    return spectral_from_support_matrix(rho, support, n)
+        raise SupportTooLarge(f"{what} support {size} exceeds the dense cap {SUPPORT_CAP}")
 
 
 def steady_twirl(state: State) -> SpectralState:
@@ -172,40 +171,33 @@ def steady_twirl(state: State) -> SpectralState:
     Idempotent: twirling a twirled state returns it unchanged.
     """
     n = state.n_qubits
-    # sector -> list of (outer weight, bits -> amplitude component)
-    sectors: dict[int, list[tuple[float, dict[str, complex]]]] = {}
+    # sector -> list of (outer weight, bits, amplitudes) of each eigenvector's part in it
+    sectors: dict[int, list[tuple[float, np.ndarray, np.ndarray]]] = {}
     for weight, vec in state.eigenpairs:
-        split: dict[int, dict[str, complex]] = {}
-        for bits, amp in vec.terms:
-            split.setdefault(bits.count("1"), {})[bits] = amp
-        for k, comp in split.items():
-            sectors.setdefault(k, []).append((weight, comp))
+        k = vec.bits.sum(axis=1)
+        for sector in np.flatnonzero(np.bincount(k)).tolist():
+            rows = k == sector
+            sectors.setdefault(sector, []).append((weight, vec.bits[rows], vec.amps[rows]))
 
     out: list[tuple[float, SparseState]] = []
-    for k in sorted(sectors):
-        comps = sectors[k]
+    for sector in sorted(sectors):
+        comps = sectors[sector]
         if len(comps) == 1:
-            weight, comp = comps[0]
-            mass = weight * sum(abs(a) ** 2 for a in comp.values())
-            if mass <= 0.0:
-                continue
-            scale = 1.0 / math.sqrt(sum(abs(a) ** 2 for a in comp.values()))
-            terms = tuple((bits, a * scale) for bits, a in comp.items())
-            out.append((mass, SparseState(n, terms)))
+            weight, bits, amps = comps[0]
+            amps = amps.tolist()  # numpy's abs and complex product round differently
+            norm2 = sum(abs(a) ** 2 for a in amps)
+            mass = weight * norm2
+            if mass > 0.0:
+                scale = 1.0 / math.sqrt(norm2)
+                out.append((mass, SparseState(n, bits, [a * scale for a in amps])))
             continue
-        support = sorted({bits for _, comp in comps for bits in comp})
-        if len(support) > SUPPORT_CAP:
-            raise SupportTooLarge(
-                f"sector support {len(support)} exceeds the dense cap {SUPPORT_CAP}"
-            )
-        index = {bits: i for i, bits in enumerate(support)}
-        block = np.zeros((len(support), len(support)), dtype=np.complex128)
-        for weight, comp in comps:
-            col = np.zeros(len(support), dtype=np.complex128)
-            for bits, amp in comp.items():
-                col[index[bits]] = amp
+        bits, v = _joint_support([(bits, amps) for _, bits, amps in comps])
+        _check_dense("sector", len(bits))
+        order = np.argsort(_keys(bits))  # the block in ascending bitstring order
+        block = np.zeros((len(bits), len(bits)), dtype=np.complex128)
+        for (weight, _, _), col in zip(comps, v[:, order]):
             block += weight * np.outer(col, col.conj())
-        out.extend(_eigen_pairs(block, support, n))
+        out.extend(_eigen_pairs(block, bits[order], n))
 
     total = sum(w for w, _ in out)
     return SpectralState(n, tuple((w / total, vec) for w, vec in out))
@@ -312,13 +304,7 @@ def mc_trajectory_average(
     if not isinstance(state, SparseState):
         raise OutOfRange("mc_trajectory_average takes a pure SparseState input")
     n = state.n_qubits
-    if n != config.n:
-        raise LengthMismatch(f"state has {n} qubits but chain has {config.n}")
-    support = [bits for bits, _ in state.terms]
-    if len(support) > SUPPORT_CAP:
-        raise SupportTooLarge(
-            f"trajectory support {len(support)} exceeds the dense cap {SUPPORT_CAP}"
-        )
+    _check_dense("trajectory", state.support_size)
     model = NoiseModel.from_params(params)
     t = params.t
 
@@ -328,14 +314,13 @@ def mc_trajectory_average(
 
     char = _char_function(ens.seed, ens.n_traj, t, model, params.gamma_prime, n)
 
-    psi = np.array([amp for _, amp in state.terms], dtype=np.complex128)
-    k = np.array([bits.count("1") for bits in support], dtype=np.int64)
+    k = state.bits.sum(axis=1)
     dk = k[None, :] - k[:, None]  # element (I, J) decays with k_J - k_I
     factors = np.where(dk >= 0, char[np.abs(dk)], np.conj(char[np.abs(dk)]))
-    rho = np.outer(psi, psi.conj()) * factors
+    rho = np.outer(state.amps, state.amps.conj()) * factors
 
-    phase, _ = _evolution_terms(support, config, params)
+    phase, _ = _evolution_terms(state.bits, config, params)
     u = np.exp(-1j * phase)
     rho = (u[:, None] * u.conj()[None, :]) * rho
     rho = 0.5 * (rho + rho.conj().T)
-    return spectral_from_support_matrix(rho, support, n)
+    return spectral_from_support_matrix(rho, state.bits, n)

@@ -28,6 +28,7 @@ from .core import (
     PhysParams,
     SparseState,
     State,
+    _joint_support,
     make_named_state,
 )
 from .errors import LengthMismatch, OutOfRange
@@ -90,13 +91,7 @@ def _spectral_qfi(state: State, config: ChainConfig, params: PhysParams) -> floa
     if state.n_qubits != n:
         raise LengthMismatch(f"state has {state.n_qubits} qubits but chain has {n}")
     pairs = state.eigenpairs
-    index: dict[str, int] = {}  # joint support: bitstring -> column of V
-    cols = [index.setdefault(bits, len(index)) for _, vec in pairs for bits, _ in vec.terms]
-    rows = [a for a, (_, vec) in enumerate(pairs) for _ in vec.terms]
-    v = np.zeros((len(pairs), len(index)), dtype=np.complex128)
-    v[rows, cols] = [amp for _, vec in pairs for _, amp in vec.terms]
-
-    excited = np.frombuffer("".join(index).encode(), dtype=np.uint8).reshape(-1, n) == ord("1")
+    excited, v = _joint_support([(vec.bits, vec.amps) for _, vec in pairs])
     c = float(config.f_array.mean())
     k = excited.sum(axis=1)
     # einsum casts the boolean matrix in buffered chunks, never all at once

@@ -9,6 +9,7 @@ Conventions under test: qubit 1 is the leftmost bitstring character and
 the most significant dense index; sigma_z |0> = +|0>.
 """
 
+import math
 import os
 from pathlib import Path
 
@@ -146,6 +147,27 @@ def oracle_parity(state, config, params):
     return float(np.trace(dense_parity_x(state.n_qubits) @ rho).real)
 
 
+def reference_named_state(name, n, k=None, m=None, theta=0.0):
+    """(bitstring, amplitude) terms of a named probe, spelled out as strings, sorted."""
+    half = 1.0 / math.sqrt(2.0)
+    if name == "ghz":
+        terms = [("0" * n, half), ("1" * n, half)]
+    elif name == "ghz-theta":
+        terms = [("0" * n, half), ("1" * n, complex(math.cos(theta), math.sin(theta)) * half)]
+    elif name == "product":
+        terms = [(format(i, f"0{n}b"), 2.0 ** (-0.5 * n)) for i in range(1 << n)]
+    elif name == "odf":
+        branches = {"1" * k + "0" * (n - k), "0" * (n - k) + "1" * k}
+        terms = [(bits, half if len(branches) == 2 else 1.0) for bits in branches]
+    elif name == "dicke":
+        strings = [format(i, f"0{n}b") for i in range(1 << n)]
+        weight_k = [bits for bits in strings if bits.count("1") == k]
+        terms = [(bits, 1.0 / math.sqrt(math.comb(n, k))) for bits in weight_k]
+    else:  # psi-m
+        terms = [("1" * m + "0" * (n - m), half), ("0" * m + "1" * (n - m), half)]
+    return tuple(sorted((bits, complex(amp)) for bits, amp in terms))
+
+
 def random_chain(rng, n, spread=1.0):
     positions = rng.uniform(-spread, spread, size=n)
     x0 = float(rng.uniform(-0.5 * spread, 0.5 * spread))
@@ -176,7 +198,7 @@ def random_sparse(rng, n, size=None):
     terms = tuple(
         (format(int(i), f"0{n}b"), complex(a)) for i, a in zip(idx, amps)
     )
-    return SparseState(n, terms)
+    return SparseState.from_terms(n, terms)
 
 
 def random_mixture(rng, n, rank):
@@ -194,7 +216,7 @@ def random_mixture(rng, n, rank):
             for i in range(dim)
             if abs(col[i]) > 0.0
         )
-        pairs.append((float(weights[r]), SparseState(n, terms)))
+        pairs.append((float(weights[r]), SparseState.from_terms(n, terms)))
     return SpectralState(n, tuple(pairs))
 
 

@@ -9,8 +9,8 @@ import sys
 import pytest
 
 from conftest import cli_env
-from gradqfi import ValidationError
-from gradqfi.cli import _COMMANDS, _FLAGS, RunConfig, build_parser
+from gradqfi import ValidationError, measurement
+from gradqfi.cli import _COMMANDS, _FLAGS, RunConfig, build_parser, main
 
 
 def run_cli(*args, cwd=None):
@@ -25,6 +25,13 @@ def resolved(*argv):
     """In-process argument resolution, as main() does it, without running."""
     args = build_parser().parse_args([str(a) for a in argv])
     return RunConfig(args.command, getattr(args, "target", None), args)
+
+
+def test_a_failed_readout_self_check_exits_1(monkeypatch, capsys):
+    real = measurement._walsh_hadamard
+    monkeypatch.setattr(measurement, "_walsh_hadamard", lambda vec: 1.01 * real(vec))
+    assert main(["cfi", "--observable", "jx", "--state", "ghz", "--n", "3", "--grad", "0.4"]) == 1
+    assert "probabilities sum to" in capsys.readouterr().err
 
 
 def test_qfi_ghz_reference_value():

@@ -26,10 +26,18 @@ from gradqfi import (
     make_chain,
     make_named_state,
 )
-from gradqfi.core import _evolution_terms, spectral_from_support_matrix
+from gradqfi.core import STATE_NAMES, _evolution_terms, spectral_from_support_matrix
 from gradqfi.measurement import _basis_excitations
 
-from conftest import dense_rho, dense_unitary, random_chain, random_params, random_sparse, to_dense
+from conftest import (
+    dense_rho,
+    dense_unitary,
+    random_chain,
+    random_params,
+    random_sparse,
+    reference_named_state,
+    to_dense,
+)
 
 finite_floats = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -131,7 +139,7 @@ def test_phys_params_validation():
 
 
 def test_sparse_state_canonicalizes_term_order():
-    s = SparseState(2, (("10", 0.6), ("01", 0.8)))
+    s = SparseState.from_terms(2, (("10", 0.6), ("01", 0.8)))
     assert [bits for bits, _ in s.terms] == ["01", "10"]
     assert dict(s.terms)["10"] == 0.6 + 0j
     assert s.support_size == 2
@@ -139,29 +147,48 @@ def test_sparse_state_canonicalizes_term_order():
 
 def test_sparse_state_validation():
     with pytest.raises(NonNormalizedState):
-        SparseState(1, (("0", 0.5),))
+        SparseState.from_terms(1, (("0", 0.5),))
     with pytest.raises(OutOfRange):
-        SparseState(1, (("0", 1.0), ("0", 0.0)))
+        SparseState.from_terms(1, (("0", 1.0), ("0", 0.0)))
     with pytest.raises(LengthMismatch):
-        SparseState(2, (("0", 1.0),))
+        SparseState.from_terms(2, (("0", 1.0),))
     with pytest.raises(OutOfRange):
-        SparseState(1, (("2", 1.0),))
+        SparseState.from_terms(1, (("2", 1.0),))
     with pytest.raises(OutOfRange):
-        SparseState(0, (("", 1.0),))
+        SparseState.from_terms(0, (("", 1.0),))
     with pytest.raises(NonFiniteCoordinate):
-        SparseState(1, (("0", complex(float("nan"), 0.0)),))
+        SparseState.from_terms(1, (("0", complex(float("nan"), 0.0)),))
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 70])
+@given(data=st.data())
+def test_from_terms_sorts_shuffled_terms_and_names_a_duplicate(n, data):
+    # the rows of the state must come out in the bitstrings' string order,
+    # from one qubit to seventy
+    indices = data.draw(
+        st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=40, unique=True)
+    )
+    bitstrings = [format(i, f"0{n}b") for i in indices]
+    amp = 1.0 / math.sqrt(len(bitstrings))
+    shuffled = data.draw(st.permutations([(bits, amp) for bits in bitstrings]))
+    state = SparseState.from_terms(n, shuffled)
+    assert [bits for bits, _ in state.terms] == sorted(bitstrings)
+    assert [a for _, a in state.terms] == [complex(amp)] * len(bitstrings)
+    twin = data.draw(st.sampled_from(bitstrings))
+    with pytest.raises(OutOfRange, match=f"duplicate basis bitstring '{twin}'"):
+        SparseState.from_terms(n, [*shuffled, (twin, 0.0)])
 
 
 def test_spectral_state_validation():
-    up = SparseState(1, (("0", 1.0),))
-    down = SparseState(1, (("1", 1.0),))
+    up = SparseState.from_terms(1, (("0", 1.0),))
+    down = SparseState.from_terms(1, (("1", 1.0),))
     mix = SpectralState(1, ((0.25, up), (0.75, down)))
     assert mix.rank == 2
     with pytest.raises(NonNormalizedState):
         SpectralState(1, ((0.5, up), (0.4, down)))
     with pytest.raises(NonNormalizedState):
         SpectralState(1, ((-0.1, up), (1.1, down)))
-    plus = SparseState(1, (("0", math.sqrt(0.5)), ("1", math.sqrt(0.5))))
+    plus = SparseState.from_terms(1, (("0", math.sqrt(0.5)), ("1", math.sqrt(0.5))))
     with pytest.raises(NonNormalizedState):
         SpectralState(1, ((0.5, up), (0.5, plus)))  # not orthogonal
 
@@ -241,7 +268,8 @@ def test_evolution_terms_match_a_per_bitstring_loop(offset):
     centred = [fx - c for fx in chain.f_values]
     turns = [math.remainder(gbt + ggt * fx, 4.0 * math.pi) for fx in chain.f_values]
     support = [format(i, "05b") for i in range(32)]
-    phase, lam = _evolution_terms(support, chain, params)
+    bits_matrix = np.array([[ch == "1" for ch in bits] for bits in support])
+    phase, lam = _evolution_terms(bits_matrix, chain, params)
     for bits, got_phase, got_lam in zip(support, phase.tolist(), lam.tolist()):
         excited = [ch == "1" for ch in bits]
         assert got_phase == 0.5 * math.fsum(turns) - sum(
@@ -306,6 +334,16 @@ def test_psi_m_blocks():
     assert make_named_state("psi-m", 4, m=0).terms == make_named_state("ghz", 4).terms
 
 
+@pytest.mark.parametrize("n", [1, 8, 9])
+@pytest.mark.parametrize("name", STATE_NAMES)
+def test_named_states_match_the_string_reference(name, n):
+    counts = range(n + 1) if name in ("odf", "dicke", "psi-m") else (None,)
+    for count in counts:
+        kw = {"m": count} if name == "psi-m" else {"k": count}
+        state = make_named_state(name, n, theta=0.7, **kw)
+        assert state.terms == reference_named_state(name, n, theta=0.7, **kw)
+
+
 def test_named_state_argument_validation():
     with pytest.raises(OutOfRange):
         make_named_state("odf", 4)
@@ -333,11 +371,11 @@ def test_named_state_takes_only_canonical_names(name):
 def test_spectral_from_support_matrix_rejects_negative_spectra():
     rho = np.array([[1.2, 0.0], [0.0, -0.2]], dtype=np.complex128)
     with pytest.raises(SpectrumNotPositive):
-        spectral_from_support_matrix(rho, ["0", "1"], 1)
+        spectral_from_support_matrix(rho, np.array([[False], [True]]), 1)
 
 
 def test_spectral_from_support_matrix_clips_numerical_noise():
     rho = np.array([[1.0, 0.0], [0.0, -1e-12]], dtype=np.complex128)
-    state = spectral_from_support_matrix(rho, ["0", "1"], 1)
+    state = spectral_from_support_matrix(rho, np.array([[False], [True]]), 1)
     assert state.rank == 1
     assert state.eigenpairs[0][0] == pytest.approx(1.0)

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from gradqfi import measurement
 from gradqfi import (
     FlatResponse,
     NoiseModel,
     OutOfRange,
     OutcomeDistribution,
     PhysParams,
+    SelfCheckFailed,
     apply_channel,
     classical_fisher,
     coherence_factor,
@@ -113,17 +115,19 @@ def test_parity_matches_dense_oracle(n):
 
 
 @pytest.mark.parametrize("offset", [1e4, 1e8])
-def test_parity_readout_matches_the_evolved_state_far_from_x0(offset):
+@pytest.mark.parametrize("n", [6, 9, 13])
+def test_parity_readout_matches_the_evolved_state_far_from_x0(n, offset):
     # parity_expectation and evolve evolve the same bitstrings; contracting
     # sigma_x^(x)n over evolve's amplitudes must give the readout's value
+    # (n = 9 and 13: the complement lookup on longer rows and 2^13-term supports)
     rng = np.random.default_rng(760)
-    chain = make_chain(offset + np.sort(rng.uniform(0.0, 1.0, size=6)), x0=0.0)
+    chain = make_chain(offset + np.sort(rng.uniform(0.0, 1.0, size=n)), x0=0.0)
     params = random_params(rng, grad=float(rng.uniform(0.1, 1.0)))
     flip = str.maketrans("01", "10")
     for state in (
-        make_named_state("ghz", 6),
-        make_named_state("product", 6),
-        make_named_state("odf", 6, k=3),
+        make_named_state("ghz", n),
+        make_named_state("product", n),
+        make_named_state("odf", n, k=n // 2),
     ):
         amps = dict(evolve(state, chain, params).terms)
         contracted = sum(
@@ -200,6 +204,16 @@ def test_outcome_distribution_validation():
 # ----------------------------------------------------------------------
 # classical Fisher information
 # ----------------------------------------------------------------------
+
+
+def test_a_readout_failing_its_own_sum_check_is_a_self_check_failure(monkeypatch):
+    # a user-built OutcomeDistribution still raises OutOfRange (see above); one
+    # the library computed points at the library
+    real = measurement._walsh_hadamard
+    monkeypatch.setattr(measurement, "_walsh_hadamard", lambda vec: 1.01 * real(vec))
+    chain, params = make_chain([0.0, 0.5, 1.0]), PhysParams(grad=0.4)
+    with pytest.raises(SelfCheckFailed, match="probabilities sum to"):
+        jx_distribution(make_named_state("ghz", 3), chain, params)
 
 
 def test_classical_fisher_two_outcome_formula():
