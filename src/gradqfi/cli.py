@@ -39,10 +39,12 @@ from .core import (
 )
 from .errors import ComputationError, OutputError, ValidationError
 from .measurement import (
+    _parity_outcomes,
+    _parity_value_and_gradient,
+    _propagated_variance,
     classical_fisher,
     jx_distribution,
     parity_distribution,
-    parity_expectation,
 )
 from .noise import (
     NoiseModel,
@@ -382,34 +384,22 @@ class RunConfig:
 # ----------------------------------------------------------------------
 
 
-def _branch_sectors(cfg: RunConfig) -> tuple[int, int] | None:
-    """Excitation sectors occupied by the named state; None = spans many."""
-    if cfg.state in ("ghz", "ghz-theta"):
-        return (0, cfg.n)
-    if cfg.state == "odf":
-        k = cfg.k_value()
-        return (k, cfg.n - k)
-    if cfg.state == "psi-m":
-        m = cfg.m_value()
-        return (m, cfg.n - m)
-    if cfg.state == "dicke":
-        k = cfg.k_value()
-        return (k, k)
-    return None
-
-
 def _check_offset_insensitive(cfg: RunConfig) -> None:
-    sectors = _branch_sectors(cfg)
-    if sectors is None or sectors[0] != sectors[1]:
-        detail = (
-            "spans many excitation sectors" if sectors is None
-            else f"spans excitation sectors {sectors[0]} and {sectors[1]}"
-        )
-        raise ValidationError(
-            f"--scenario unknown-b0 needs an offset-insensitive probe (one "
-            f"excitation sector); --state {cfg.state} {detail}; use dicke, or "
-            "odf/psi-m with k = m = n/2"
-        )
+    if cfg.state == "product":  # every sector, on 2^n rows
+        detail = "spans many excitation sectors"
+    elif cfg.state == "dicke":  # one sector, on up to C(n, n/2) rows
+        return
+    else:
+        k = cfg.named_state().bits.sum(axis=1)
+        sectors = np.flatnonzero(np.bincount(k)).tolist()
+        if len(sectors) == 1:
+            return
+        detail = f"spans excitation sectors {sectors[0]} and {sectors[1]}"
+    raise ValidationError(
+        f"--scenario unknown-b0 needs an offset-insensitive probe (one "
+        f"excitation sector); --state {cfg.state} {detail}; use dicke or odf, "
+        "or psi-m with m = n/2"
+    )
 
 
 def _state_qfi(cfg: RunConfig, config: ChainConfig, params: PhysParams) -> FisherReport:
@@ -432,12 +422,12 @@ def cmd_qfi(cfg: RunConfig) -> int:
             report = qfi_noisy_psim(config, params, cfg.m_value())
         elif cfg.state == "dicke":
             report = qfi_dicke(config, params, cfg.k_value())
-        elif cfg.state == "odf" and 2 * cfg.k_value() == cfg.n:
+        elif cfg.state == "odf":  # both branches in sector k: decoherence-free
             report = qfi_dfs_subspace(config, params, cfg.k_value())[0]
         else:
             raise ValidationError(
                 f"--scenario noisy has no closed form for --state {cfg.state} "
-                "(supported: ghz, ghz-theta, psi-m, dicke, odf with k = n/2)"
+                "(supported: ghz, ghz-theta, psi-m, dicke, odf)"
             )
     else:
         if cfg.scenario == "unknown-b0":
@@ -476,13 +466,9 @@ def cmd_parity(cfg: RunConfig) -> int:
     config = cfg.chain()
     params = cfg.params()
     state = _measured_state(cfg, params)
-    value = parity_expectation(state, config, params)
-    dist = parity_distribution(state, config, params)
-    grad = 2.0 * dist.outcomes[0][2]
-    if abs(grad) > 1e-15:
-        err_prop = (1.0 - value * value) / (grad * grad)
-    else:
-        err_prop = None
+    value, grad = _parity_value_and_gradient(state, config, params)
+    dist = _parity_outcomes(value, grad)
+    err_prop = _propagated_variance(value, grad)  # null on a flat response
     columns = ("label", "probability", "derivative")
     return _emit(cfg, columns, dist.outcomes, {
         "value": value,

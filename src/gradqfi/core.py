@@ -509,52 +509,69 @@ def _product_bits(n: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# spectral assembly (shared by the noise channel and the twirl)
+# spectral assembly on excitation sectors (shared by the noise channel, the
+# Monte Carlo average and the twirl)
 # ----------------------------------------------------------------------
 
-# Density-matrix eigenvalues in [-NEG_EVAL_TOL, _WEIGHT_DROP] are numerical
-# noise and are dropped; anything more negative is a real positivity
-# violation and raises.
+# Eigenvalues of a sector matrix in [-NEG_EVAL_TOL, _WEIGHT_DROP] are
+# numerical noise and are dropped; anything more negative is a real
+# positivity violation and raises.
 NEG_EVAL_TOL = 1e-10
 _WEIGHT_DROP = 1e-14
 _AMP_DROP = 1e-14
 
 
-def _eigen_pairs(
-    rho: np.ndarray, support: np.ndarray, n_qubits: int
-) -> list[tuple[float, SparseState]]:
-    """(eigenvalue, eigenvector) of a Hermitian block over a support bit matrix.
-
-    Keeps the eigenvalues above _WEIGHT_DROP, heaviest first and not
-    normalized; eigenvector entries at or below _AMP_DROP are dropped and
-    the rest renormalized to a unit vector.
-    """
-    w, vecs = np.linalg.eigh(rho)
+def _kept_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of a small Hermitian matrix above _WEIGHT_DROP, heaviest
+    first, and their eigenvectors as columns."""
+    w, u = np.linalg.eigh(m)
     if w[0] < -NEG_EVAL_TOL:
         raise SpectrumNotPositive(
             f"density matrix has eigenvalue {w[0]:.6e}, below -{NEG_EVAL_TOL:g}"
         )
-    pairs = []
-    for i in sorted(np.flatnonzero(w > _WEIGHT_DROP), key=lambda i: -w[i]):
-        col = vecs[:, i]
-        mask = np.abs(col) > _AMP_DROP
-        col = col[mask] / math.sqrt(float(np.vdot(col[mask], col[mask]).real))
-        pairs.append((float(w[i]), SparseState(n_qubits, support[mask], col)))
-    return pairs
+    keep = np.flatnonzero(w > _WEIGHT_DROP)[::-1]
+    return w[keep], u[:, keep]
 
 
-def spectral_from_support_matrix(
-    rho: np.ndarray, support: np.ndarray, n_qubits: int
-) -> SpectralState:
-    """Diagonalize a Hermitian density block given over an explicit support.
+def _unit_state(n_qubits: int, bits: np.ndarray, col: np.ndarray) -> SparseState:
+    """The amplitudes col over the ascending rows bits, with entries at or
+    below _AMP_DROP dropped and the rest renormalized to a unit vector."""
+    mask = np.abs(col) > _AMP_DROP
+    col = col[mask]
+    return SparseState(n_qubits, bits[mask], col / math.sqrt(float(np.vdot(col, col).real)))
 
-    rho is an s x s matrix over the s rows of the bit matrix `support`
-    (unit trace).  Returns the eigendecomposition as a SpectralState, with
-    numerical-noise eigenvalues dropped and weights renormalized.
-    """
-    pairs = _eigen_pairs(rho, support, n_qubits)
-    if not pairs:
-        raise NonNormalizedState("density matrix has no positive weight")
-    # lightest first, in eigh's order, so the weights keep their digits
-    total = sum(w for w, _ in reversed(pairs))
+
+def _normalized(n_qubits: int, pairs: list[tuple[float, SparseState]]) -> SpectralState:
+    total = math.fsum(w for w, _ in pairs)
     return SpectralState(n_qubits, tuple((w / total, vec) for w, vec in pairs))
+
+
+def _sector_spectral(
+    n_qubits: int, bits: np.ndarray, amps: np.ndarray, decay: Sequence[complex]
+) -> SpectralState:
+    """rho = sum_kl decay[l - k] sqrt(p_k p_l) |e_k><e_l| of a pure vector.
+
+    The vector (amps over the ascending rows bits) splits into unit sector
+    vectors e_k with masses p_k, one per occupied excitation count k (a
+    sector whose amplitudes are all 0 is left out); decay[dk] multiplies
+    the coherence between sectors dk apart and is conjugated for l < k.
+    The r x r matrix M_kl = decay[l - k] sqrt(p_k p_l) is diagonalized and
+    each eigenvector sum_k U_kc e_k is spread back over the rows, so the
+    result has rank at most r <= n + 1 and costs O(r s) on s rows.
+    """
+    k = bits.sum(axis=1)
+    mass = np.bincount(k, weights=amps.real**2 + amps.imag**2, minlength=n_qubits + 1)
+    occupied = np.flatnonzero(mass)
+    root = np.sqrt(mass[occupied])
+    gap = occupied[None, :] - occupied[:, None]  # l - k
+    factor = np.asarray(decay)[np.abs(gap)]
+    m = np.where(gap >= 0, factor, np.conj(factor)) * np.outer(root, root)
+    scale = np.zeros(n_qubits + 1)
+    scale[occupied] = 1.0 / root
+    unit = amps * scale[k]  # each row's entry of its sector's e_k
+    sector = np.zeros(n_qubits + 1, dtype=np.intp)
+    sector[occupied] = np.arange(len(occupied))
+    sector = sector[k]
+    w, u = _kept_spectrum(m)
+    vectors = (_unit_state(n_qubits, bits, u[sector, c] * unit) for c in range(len(w)))
+    return _normalized(n_qubits, list(zip(w.tolist(), vectors)))

@@ -131,7 +131,10 @@ def parity_distribution(
     state: State, config: ChainConfig, params: PhysParams
 ) -> OutcomeDistribution:
     """Two-outcome parity statistics p(+/-1) = (1 +/- <X^N>)/2 with exact dG derivatives."""
-    value, grad = _parity_value_and_gradient(state, config, params)
+    return _parity_outcomes(*_parity_value_and_gradient(state, config, params))
+
+
+def _parity_outcomes(value: float, grad: float) -> OutcomeDistribution:
     return _computed_distribution(
         (("+1", 0.5 * (1.0 + value), 0.5 * grad), ("-1", 0.5 * (1.0 - value), -0.5 * grad))
     )
@@ -214,7 +217,10 @@ def jx_distribution(
         idx = vec.bits @ place
         dense, ddense = np.zeros((2, 1 << n), dtype=np.complex128)
         dense[idx] = amps
-        ddense[idx] = _cmul(amps, 0.0, -gt * lam)
+        # a constant in lambda drops out of every dp exactly, so measure it
+        # from the first row: far from x0 the c (n/2 - k) term then cancels
+        # here, within a sector, instead of in the sum over outcomes
+        ddense[idx] = _cmul(amps, 0.0, -gt * (lam - lam[0]))
         x_amp = _walsh_hadamard(dense)
         x_damp = _walsh_hadamard(ddense)
         p = x_amp.real**2 + x_amp.imag**2
@@ -241,10 +247,18 @@ def error_propagation(
     which collapses to 1/QFI at the cot(alpha) = 0 point.
     """
     value, grad = _parity_value_and_gradient(state, config, params)
-    if abs(grad) <= 1e-15:
+    variance = _propagated_variance(value, grad)
+    if variance is None:
         raise FlatResponse(
             f"parity response d<M>/dG = {grad!r} is flat at this operating point"
         )
+    return variance
+
+
+def _propagated_variance(value: float, grad: float) -> float | None:
+    """(1 - <M>^2) / (d<M>/dG)^2 for parity, or None when |d<M>/dG| <= 1e-15."""
+    if not abs(grad) > 1e-15:
+        return None
     return (1.0 - value * value) / (grad * grad)
 
 

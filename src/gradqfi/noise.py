@@ -8,6 +8,11 @@ Gaussian with variance gamma'^2 C(t), so averaging over realizations
 multiplies each density-matrix element rho_IJ by a coherence factor that
 depends only on the excitation difference |k(I) - k(J)|.
 
+So the channel, the twirl and the Monte Carlo average build their output
+on excitation sectors: for a pure input only an r x r matrix, one row per
+occupied sector, is diagonalized (core._sector_spectral), so the output
+has rank r <= n + 1 and costs O(r s) on s basis states.
+
 Monte Carlo here is an oracle for the analytic channel: each trajectory
 takes one exact joint-Gaussian step of (dE, integral dE) from a stationary
 dE(0) to t, built from the OU transition moments rather than from C(t),
@@ -28,22 +33,15 @@ from .core import (
     SparseState,
     SpectralState,
     State,
-    _eigen_pairs,
-    _evolution_terms,
     _joint_support,
+    _kept_spectrum,
     _keys,
+    _normalized,
+    _sector_spectral,
+    _unit_state,
     evolve,
-    spectral_from_support_matrix,
 )
-from .errors import (
-    NegativeTime,
-    OutOfRange,
-    SupportTooLarge,
-    ZeroTrajectories,
-)
-
-# Dense intermediates (channel matrix over the sparse support) cap.
-SUPPORT_CAP = 1 << 12
+from .errors import NegativeTime, OutOfRange, ZeroTrajectories
 
 # Monte Carlo trajectories are processed in fixed-size chunks; the chunk
 # size is part of the determinism contract (per-chunk partial sums are
@@ -143,34 +141,35 @@ def coherence_factor(model: NoiseModel, t: float, weight: int | float) -> float:
 def apply_channel(state: SparseState, model: NoiseModel, t: float) -> SpectralState:
     """Average over noise realizations at time t (no gradient encoding).
 
-    Multiplies rho_IJ by coherence_factor(|k_I - k_J|) and returns the
-    eigendecomposition.  t = inf gives the steady state (all cross-sector
-    coherences gone).
+    Multiplies rho_IJ by coherence_factor(|k_I - k_J|).  The output is
+    built on the input's excitation sectors (core._sector_spectral), so its
+    rank is at most the number of occupied sectors.  t = inf gives the
+    steady state (all cross-sector coherences gone).
     """
     if not isinstance(state, SparseState):
         raise OutOfRange("apply_channel takes a pure SparseState input")
     if t < 0 or math.isnan(t):
         raise NegativeTime(f"t must be >= 0, got {t!r}")
-    _check_dense("channel", state.support_size)
-    k = state.bits.sum(axis=1)
-    factors = np.array([coherence_factor(model, t, dk) for dk in range(state.n_qubits + 1)])
-    rho = np.outer(state.amps, state.amps.conj()) * factors[np.abs(k[:, None] - k[None, :])]
-    return spectral_from_support_matrix(rho, state.bits, state.n_qubits)
-
-
-def _check_dense(what: str, size: int) -> None:
-    if size > SUPPORT_CAP:
-        raise SupportTooLarge(f"{what} support {size} exceeds the dense cap {SUPPORT_CAP}")
+    decay = [coherence_factor(model, t, dk) for dk in range(state.n_qubits + 1)]
+    return _sector_spectral(state.n_qubits, state.bits, state.amps, decay)
 
 
 def steady_twirl(state: State) -> SpectralState:
     """Project onto the excitation sectors (the t -> infinity dephasing limit).
 
     Removes every coherence between different J_z sectors; the output
-    commutes with J_z exactly (each eigenvector lives in one sector).
+    commutes with J_z exactly (each eigenvector lives in one sector), and
+    its rank is at most the number of occupied sectors times the input's
+    rank.  A pure input keeps one vector per sector.  For a mixture, the
+    parts a_j of the eigenvectors in one sector are the columns of A = QR
+    (thin QR), so the sector block A W A^dagger is R W R^dagger over the
+    orthonormal columns of Q, and only that small matrix is diagonalized.
     Idempotent: twirling a twirled state returns it unchanged.
     """
     n = state.n_qubits
+    if len(state.eigenpairs) == 1:
+        vec = state.eigenpairs[0][1]
+        return _sector_spectral(n, vec.bits, vec.amps, [1.0] + [0.0] * n)
     # sector -> list of (outer weight, bits, amplitudes) of each eigenvector's part in it
     sectors: dict[int, list[tuple[float, np.ndarray, np.ndarray]]] = {}
     for weight, vec in state.eigenpairs:
@@ -182,25 +181,13 @@ def steady_twirl(state: State) -> SpectralState:
     out: list[tuple[float, SparseState]] = []
     for sector in sorted(sectors):
         comps = sectors[sector]
-        if len(comps) == 1:
-            weight, bits, amps = comps[0]
-            amps = amps.tolist()  # numpy's abs and complex product round differently
-            norm2 = sum(abs(a) ** 2 for a in amps)
-            mass = weight * norm2
-            if mass > 0.0:
-                scale = 1.0 / math.sqrt(norm2)
-                out.append((mass, SparseState(n, bits, [a * scale for a in amps])))
-            continue
         bits, v = _joint_support([(bits, amps) for _, bits, amps in comps])
-        _check_dense("sector", len(bits))
-        order = np.argsort(_keys(bits))  # the block in ascending bitstring order
-        block = np.zeros((len(bits), len(bits)), dtype=np.complex128)
-        for (weight, _, _), col in zip(comps, v[:, order]):
-            block += weight * np.outer(col, col.conj())
-        out.extend(_eigen_pairs(block, bits[order], n))
-
-    total = sum(w for w, _ in out)
-    return SpectralState(n, tuple((w / total, vec) for w, vec in out))
+        order = np.argsort(_keys(bits))  # the rows in ascending bitstring order
+        q, r = np.linalg.qr(v[:, order].T)
+        weights = np.array([weight for weight, _, _ in comps])
+        w, u = _kept_spectrum((r * weights) @ r.conj().T)
+        out += zip(w.tolist(), (_unit_state(n, bits[order], q @ u[:, c]) for c in range(len(w))))
+    return _normalized(n, out)
 
 
 # ----------------------------------------------------------------------
@@ -295,32 +282,23 @@ def mc_trajectory_average(
 ) -> SpectralState:
     """Noise-averaged, gradient-encoded state from stochastic trajectories.
 
-    Samples the integrated noise phase per trajectory, applies
-    exp(-i delta_phi J_z) together with the deterministic evolution,
-    averages the projectors, and re-diagonalizes.  Deterministic for a
-    fixed ensemble seed regardless of chunk scheduling; converges to
-    evolve + apply_channel at rate ~ 1/sqrt(n_traj).
+    Samples the integrated noise phase per trajectory and averages
+    exp(-i delta_phi J_z) over the evolved state: the coherence between
+    sectors dk apart picks up the sampled E[exp(-i delta_phi dk)], and the
+    average is built on the evolved state's excitation sectors, so its rank
+    is at most the number of occupied sectors.  Deterministic for a fixed
+    ensemble seed regardless of chunk scheduling; converges to evolve +
+    apply_channel at rate ~ 1/sqrt(n_traj).
     """
     if not isinstance(state, SparseState):
         raise OutOfRange("mc_trajectory_average takes a pure SparseState input")
     n = state.n_qubits
-    _check_dense("trajectory", state.support_size)
     model = NoiseModel.from_params(params)
     t = params.t
-
+    evolved = evolve(state, config, params)
     if t == 0.0 or model.delta_e == 0.0 or model.gamma_prime == 0.0:
         # noise-free: the average is the evolved pure state itself
-        return SpectralState(n, ((1.0, evolve(state, config, params)),))
-
+        return SpectralState(n, ((1.0, evolved),))
     char = _char_function(ens.seed, ens.n_traj, t, model, params.gamma_prime, n)
-
-    k = state.bits.sum(axis=1)
-    dk = k[None, :] - k[:, None]  # element (I, J) decays with k_J - k_I
-    factors = np.where(dk >= 0, char[np.abs(dk)], np.conj(char[np.abs(dk)]))
-    rho = np.outer(state.amps, state.amps.conj()) * factors
-
-    phase, _ = _evolution_terms(state.bits, config, params)
-    u = np.exp(-1j * phase)
-    rho = (u[:, None] * u.conj()[None, :]) * rho
-    rho = 0.5 * (rho + rho.conj().T)
-    return spectral_from_support_matrix(rho, state.bits, n)
+    # element (I, J) picks up char[k_J - k_I], conjugated when k_J < k_I
+    return _sector_spectral(n, evolved.bits, evolved.amps, char)

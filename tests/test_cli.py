@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from conftest import cli_env
-from gradqfi import ValidationError, measurement
+from gradqfi import PhysParams, ValidationError, make_chain, measurement, qfi_dfs_subspace
 from gradqfi.cli import _COMMANDS, _FLAGS, RunConfig, build_parser, main
 
 
@@ -173,9 +173,34 @@ def test_unknown_b0_scenario_rejects_offset_sensitive_states():
     assert json.loads(cp.stdout)["value"] == pytest.approx(16.0, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "probe,accepted",
+    [
+        (("odf", "--k", "1"), True),
+        (("psi-m", "--m", "2"), True),
+        (("ghz",), False),
+        (("product",), False),
+        (("psi-m", "--m", "1"), False),
+        (("psi-m", "--m", "3"), False),
+    ],
+    ids=["odf-k1", "psi-m2", "ghz", "product", "psi-m1", "psi-m3"],
+)
+def test_unknown_b0_takes_the_sectors_from_the_state(probe, accepted, capsys):
+    code = main(["qfi", "--scenario", "unknown-b0", "--state", *probe, "--n", "4"])
+    captured = capsys.readouterr()
+    if accepted:
+        assert code == 0, captured.err
+    else:
+        assert code == 2
+        assert "--scenario unknown-b0 needs an offset-insensitive probe" in captured.err
+
+
 def test_noisy_scenario_limits_and_quiet_reduction():
+    # both odf branches hold k excitations, so every odf probe is decoherence-free
     cp = run_cli("qfi", "--scenario", "noisy", "--state", "odf", "--k", "1", "--n", "4")
-    assert cp.returncode == 2
+    assert cp.returncode == 0, cp.stderr
+    want = qfi_dfs_subspace(make_chain([0.0, 1 / 3, 2 / 3, 1.0]), PhysParams(), 1)[0].value
+    assert json.loads(cp.stdout)["value"] == pytest.approx(want, rel=1e-12)
     # default delta-e is 0: the channel is the identity and the GHZ value
     # matches the noiseless closed form
     cp = run_cli(

@@ -26,7 +26,7 @@ from gradqfi import (
     make_chain,
     make_named_state,
 )
-from gradqfi.core import STATE_NAMES, _evolution_terms, spectral_from_support_matrix
+from gradqfi.core import STATE_NAMES, _evolution_terms, _sector_spectral
 from gradqfi.measurement import _basis_excitations
 
 from conftest import (
@@ -368,14 +368,16 @@ def test_named_state_takes_only_canonical_names(name):
 # ----------------------------------------------------------------------
 
 
-def test_spectral_from_support_matrix_rejects_negative_spectra():
-    rho = np.array([[1.2, 0.0], [0.0, -0.2]], dtype=np.complex128)
+def test_sector_spectral_rejects_negative_spectra():
+    # a coherence larger than 1 makes the 2 x 2 sector matrix indefinite
+    one_qubit = np.array([[False], [True]])
     with pytest.raises(SpectrumNotPositive):
-        spectral_from_support_matrix(rho, np.array([[False], [True]]), 1)
+        _sector_spectral(1, one_qubit, np.full(2, 0.5**0.5, complex), [1.0, 1.5])
 
 
-def test_spectral_from_support_matrix_clips_numerical_noise():
-    rho = np.array([[1.0, 0.0], [0.0, -1e-12]], dtype=np.complex128)
-    state = spectral_from_support_matrix(rho, np.array([[False], [True]]), 1)
+def test_sector_spectral_clips_numerical_noise():
+    # eigenvalues 1 + 1e-12 and -1e-12: the second is noise and is dropped
+    one_qubit = np.array([[False], [True]])
+    state = _sector_spectral(1, one_qubit, np.full(2, 0.5**0.5, complex), [1.0, 1.0 + 2e-12])
     assert state.rank == 1
     assert state.eigenpairs[0][0] == pytest.approx(1.0)

@@ -395,6 +395,22 @@ def test_jx_derivatives_match_finite_differences():
     np.testing.assert_allclose(dist.derivatives, fd, rtol=1e-5, atol=1e-7)
 
 
+@pytest.mark.parametrize("b0", [0.0, 0.2])
+@pytest.mark.parametrize("name", ["odf", "dicke"])
+def test_jx_readout_far_from_x0_matches_the_near_chain(name, b0):
+    # a one-sector probe sees only the centred profile, which the quarter
+    # steps keep exact at 1e8; lambda's constant c (n/2 - k) must cancel
+    # within the sector, not in the sum over outcomes.  What is left is the
+    # phase of each qubit, rounded at the scale of G f ~ 3e7
+    steps = [0.25 * i for i in range(5)]
+    params = PhysParams(grad=0.3, b0=b0)
+    state = make_named_state(name, 5, k=2)
+    near = classical_fisher(jx_distribution(state, make_chain(steps), params)).value
+    far = classical_fisher(jx_distribution(state, make_chain(steps, x0=-1e8), params)).value
+    assert near > 0.01
+    assert rel_dev(far, near) < 1e-7
+
+
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_jx_cfi_equals_parity_cfi_for_fringe_states(n):
     rng = np.random.default_rng(1000 + n)

@@ -22,10 +22,21 @@ from gradqfi import (
     make_named_state,
     mc_coherence_magnitude,
     mc_trajectory_average,
+    qfi_dicke,
+    qfi_general,
+    qfi_product_steady,
     steady_twirl,
 )
 
-from conftest import dense_rho, random_chain, random_params, random_sparse, to_dense
+from conftest import (
+    dense_rho,
+    random_chain,
+    random_mixture,
+    random_params,
+    random_sparse,
+    rel_dev,
+    to_dense,
+)
 
 
 MODEL = NoiseModel(gamma_prime=0.8, delta_e=1.2, tau_c=0.7)
@@ -170,8 +181,12 @@ def test_steady_twirl_product_state_gives_binomial_sectors():
 
 def test_steady_twirl_matches_projector_oracle():
     rng = np.random.default_rng(811)
-    for n in (2, 3, 4):
-        state = random_sparse(rng, n)
+    states = [random_sparse(rng, n) for n in (2, 3, 4)]
+    # mixtures reach the thin-QR path, several components per sector
+    for n in (2, 3, 4, 5):
+        states += [random_mixture(rng, n, rank) for rank in range(2, min(5, 1 << n) + 1)]
+    for state in states:
+        n = state.n_qubits
         rho = dense_rho(state)
         popcount = np.array([bin(i).count("1") for i in range(1 << n)])
         projected = np.where(
@@ -196,6 +211,84 @@ def test_steady_twirl_equals_infinite_time_channel():
         dense_rho(apply_channel(state, MODEL, math.inf)),
         atol=1e-11,
     )
+
+
+# ----------------------------------------------------------------------
+# construction on excitation sectors
+# ----------------------------------------------------------------------
+
+
+def test_dephased_dicke_keeps_its_closed_form_at_twenty_qubits():
+    # one sector, s = C(20, 10) = 184756 rows: the output is the probe itself
+    rng = np.random.default_rng(831)
+    chain = random_chain(rng, 20)
+    params = random_params(rng)
+    state = apply_channel(make_named_state("dicke", 20, k=10), MODEL, 0.9)
+    assert state.rank == 1
+    got = qfi_general(state, chain, params).value
+    assert rel_dev(got, qfi_dicke(chain, params, 10).value) < 1e-12
+
+
+@pytest.mark.parametrize("x0", [0.1, -1e4])
+def test_steady_product_channel_at_fourteen_qubits_matches_closed_form(x0):
+    # 2^14 rows, 15 sectors: rank 15, one eigenvector per sector
+    rng = np.random.default_rng(833)
+    chain = make_chain(np.sort(rng.uniform(0.0, 1.0, size=14)), x0=x0)
+    params = random_params(rng)
+    state = apply_channel(make_named_state("product", 14), MODEL, math.inf)
+    assert state.rank == 15
+    got = qfi_general(state, chain, params).value
+    assert rel_dev(got, qfi_product_steady(chain, params).value) < 1e-12
+
+
+def test_a_sector_whose_amplitudes_are_all_zero_is_dropped():
+    state = SparseState.from_terms(2, [("00", 0.6), ("01", 0.0), ("10", 0.0), ("11", 0.8)])
+    t = 0.5
+    d = coherence_factor(MODEL, t, 2)
+    want = np.zeros((4, 4))
+    want[0, 0], want[3, 3] = 0.36, 0.64
+    with np.errstate(divide="raise", invalid="raise"):
+        for out, coherence in ((apply_channel(state, MODEL, t), d), (steady_twirl(state), 0.0)):
+            assert out.rank == 2
+            for _, vec in out.eigenpairs:
+                assert {bits for bits, _ in vec.terms} <= {"00", "11"}
+            want[0, 3] = want[3, 0] = 0.48 * coherence
+            np.testing.assert_allclose(dense_rho(out), want, atol=1e-12)
+
+
+def _sector_coherences(psi, mixed):
+    """X_kl = <e_k| rho |e_l> over the unit sector vectors e_k of a pure state."""
+    n = psi.n_qubits
+    popcount = np.array([bin(i).count("1") for i in range(1 << n)])
+    vec = to_dense(psi)
+    basis = np.array([np.where(popcount == k, vec, 0.0) for k in range(n + 1)])
+    basis /= np.linalg.norm(basis, axis=1)[:, None]
+    weights = np.array([w for w, _ in mixed.eigenpairs])
+    b = basis.conj() @ np.array([to_dense(v) for _, v in mixed.eigenpairs]).T
+    return (b * weights) @ b.conj().T
+
+
+def test_mc_trajectory_average_converges_to_channel_on_a_twelve_qubit_product():
+    # 2^12 rows: the trajectory average is built on the 13 sectors, like the channel
+    rng = np.random.default_rng(835)
+    n = 12
+    chain = random_chain(rng, n)
+    params = random_params(rng, gamma_prime=0.4, delta_e=1.0, tau_c=1.0, t=0.8)
+    state = make_named_state("product", n)
+    ens = TrajectoryEnsemble(n_traj=20000, seed=81)
+    averaged = mc_trajectory_average(state, chain, params, ens)
+    exact = evolve(apply_channel(state, NoiseModel.from_params(params), params.t), chain, params)
+    assert averaged.rank <= n + 1 and exact.rank <= n + 1
+    evolved = evolve(state, chain, params)
+    mc, want = _sector_coherences(evolved, averaged), _sector_coherences(evolved, exact)
+    assert np.trace(mc).real == pytest.approx(1.0, abs=1e-12)
+    # 5 standard errors of each entry: E|exp(-i phi dk)|^2 = 1, so the
+    # complex estimate of the factor d has variance (1 - d^2) / n_traj
+    model = NoiseModel.from_params(params)
+    d = np.array([coherence_factor(model, params.t, w) for w in range(n + 1)])
+    gap = np.abs(np.subtract.outer(np.arange(n + 1), np.arange(n + 1)))
+    se = np.abs(want) / d[gap] * np.sqrt((1.0 - d[gap] ** 2) / ens.n_traj)
+    assert np.all(np.abs(mc - want) <= 5.0 * se + 1e-12)
 
 
 # ----------------------------------------------------------------------
