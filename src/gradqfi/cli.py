@@ -167,6 +167,8 @@ _BOOL_WORDS = {
 
 
 def _fmt_cell(value) -> str:
+    if type(value) is float:  # most cells: test the exact type before the isinstance chain
+        return repr(value)
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
@@ -484,14 +486,8 @@ def cmd_noise_scan(cfg: RunConfig) -> int:
     t_max = cfg.t_max if cfg.t_max is not None else 3.0 * params.tau_c
     if not (math.isfinite(t_max) and t_max > 0):
         raise ValidationError(f"--t-max must be > 0, got {t_max!r}")
-    rows = []
-    for i in range(cfg.points):
-        t = t_max * (i / (cfg.points - 1))
-        rows.append((
-            t,
-            correlation_integral(model, t),
-            coherence_factor(model, t, cfg.n),
-        ))
+    times = (t_max * (i / (cfg.points - 1)) for i in range(cfg.points))
+    rows = [(t, correlation_integral(model, t), coherence_factor(model, t, cfg.n)) for t in times]
     columns = ("t", "correlation", "coherence")
     return _emit(cfg, columns, rows, {
         "columns": list(columns),
@@ -538,22 +534,14 @@ def cmd_placement_search(cfg: RunConfig) -> int:
 
 
 def _table_text(table: TableOne) -> str:
-    header = list(table.columns)
-    body = [
-        [label] + [repr(v) for v in values]
-        for label, *values in table.rows
-    ]
-    widths = [
-        max(len(header[j]), *(len(row[j]) for row in body))
-        for j in range(len(header))
-    ]
-    lines = []
-    for row in [header] + body:
-        cells = [row[0].ljust(widths[0])] + [
-            row[j].rjust(widths[j]) for j in range(1, len(row))
-        ]
-        lines.append("  ".join(cells).rstrip())
-    return "\n".join(lines) + "\n"
+    rows = [list(table.columns)] + [[label] + [repr(v) for v in values]
+                                    for label, *values in table.rows]
+    widths = [max(len(row[j]) for row in rows) for j in range(len(rows[0]))]
+    lines = (
+        "  ".join([row[0].ljust(widths[0])] + [c.rjust(w) for c, w in zip(row[1:], widths[1:])])
+        for row in rows
+    )
+    return "".join(line.rstrip() + "\n" for line in lines)
 
 
 def cmd_reproduce(cfg: RunConfig) -> int:
@@ -634,7 +622,7 @@ def cmd_validate(cfg: RunConfig) -> int:
                 delta_e=float(rng.uniform(0.5, 1.5)),
                 tau_c=float(rng.uniform(0.5, 2.0)),
             )
-            config = make_chain([float(x) for x in xs], x0)
+            config = make_chain(xs, x0)
             gt = params.gamma * params.t
             scale = max(gt * gt * sum(abs(f) for f in config.f_values) ** 2, 1.0)
             chains.append((config, params, scale))

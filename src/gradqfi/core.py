@@ -86,12 +86,34 @@ class FieldProfile:
             raise InvalidProfile(f"profile kind must be 'linear' or 'custom', got {self.kind!r}")
 
     def __call__(self, u: float) -> float:
-        if self.kind == "linear":
-            return float(u)
-        return float(self.func(u))
+        return float(u) if self.kind == "linear" else float(self.func(u))
 
 
 LINEAR = FieldProfile()
+
+
+def _check_finite(values: np.ndarray, what: str) -> None:
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise NonFiniteCoordinate(f"{what} {values[~finite][0].item()!r} is not finite")
+
+
+def _chain_arrays(positions: Iterable[float], x0: float,
+                  profile: FieldProfile) -> tuple[np.ndarray, np.ndarray]:
+    """The positions p as a float64 vector (float() of each) and f = f(p - x0), both
+    checked finite; p and x0 are checked before the profile is evaluated."""
+    flat = isinstance(positions, np.ndarray) and positions.dtype == np.float64 and positions.ndim == 1
+    p = positions if flat else np.fromiter(map(float, positions), np.float64)
+    if not p.size:
+        raise EmptyChain("positions must contain at least one qubit")
+    _check_finite(p, "position")
+    if not math.isfinite(x0):
+        raise NonFiniteCoordinate(f"x0 {x0!r} is not finite")
+    with np.errstate(over="ignore", invalid="ignore"):  # inf on overflow, as float arithmetic
+        u = p - x0
+    f = u if profile.kind == "linear" else np.array([profile(x) for x in u.tolist()])
+    _check_finite(f, "profile value")
+    return p, f
 
 
 @dataclass(frozen=True)
@@ -100,42 +122,36 @@ class ChainConfig:
 
     positions must already be ordered by ascending f(x - x0); build
     instances through make_chain, which sorts for you (stable in the
-    original order on ties).
+    original order on ties).  Each check is one vector test on the float64
+    positions p or on f = f(p - x0); positions and f_values are p and f as
+    tuples of floats, and f_array is f itself, read-only.
     """
 
     positions: tuple[float, ...]
     x0: float = 0.0
     profile: FieldProfile = LINEAR
     f_values: tuple[float, ...] = field(init=False, repr=False)
+    f_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        positions = tuple(float(x) for x in self.positions)
-        if not positions:
-            raise EmptyChain("positions must contain at least one qubit")
-        for x in positions:
-            if not math.isfinite(x):
-                raise NonFiniteCoordinate(f"position {x!r} is not finite")
-        if not math.isfinite(self.x0):
-            raise NonFiniteCoordinate(f"x0 {self.x0!r} is not finite")
-        f_values = tuple(self.profile(x - self.x0) for x in positions)
-        for fx in f_values:
-            if not math.isfinite(fx):
-                raise NonFiniteCoordinate(f"profile value {fx!r} is not finite")
-        for a, b in zip(f_values, f_values[1:]):
-            if a > b:
-                raise OutOfRange(
-                    "positions must be ordered by ascending profile value; use make_chain"
-                )
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "f_values", f_values)
+        p, f = _chain_arrays(self.positions, self.x0, self.profile)
+        if (f[1:] < f[:-1]).any():
+            raise OutOfRange("positions must be ordered by ascending profile value; "
+                             "use make_chain")
+        f.setflags(write=False)
+        object.__setattr__(self, "positions", tuple(p.tolist()))
+        object.__setattr__(self, "f_values", tuple(f.tolist()))
+        object.__setattr__(self, "f_array", f)
 
     @property
     def n(self) -> int:
         return len(self.positions)
 
     @cached_property
-    def f_array(self) -> np.ndarray:
-        return np.asarray(self.f_values, dtype=np.float64)
+    def spread(self) -> float:
+        """sum_i (f_i - mean f)^2 as math.fsum of the centred squares, computed once."""
+        centred = self.f_array - self.f_array.mean()
+        return math.fsum((centred * centred).tolist())
 
 
 def make_chain(
@@ -145,20 +161,13 @@ def make_chain(
 ) -> ChainConfig:
     """Build a ChainConfig, sorting positions by ascending f(x - x0).
 
-    The sort is stable: positions with equal profile values keep their
-    input order (the physics is invariant under relabeling, so the
-    choice only pins down a deterministic convention).
+    The sort is one stable argsort of f: positions with equal profile
+    values (-0.0 and 0.0 too) keep their input order (the physics is
+    invariant under relabeling, so the choice only pins down a
+    deterministic convention).
     """
-    pos = [float(x) for x in positions]
-    if not pos:
-        raise EmptyChain("positions must contain at least one qubit")
-    for x in pos:
-        if not math.isfinite(x):
-            raise NonFiniteCoordinate(f"position {x!r} is not finite")
-    if not math.isfinite(x0):
-        raise NonFiniteCoordinate(f"x0 {x0!r} is not finite")
-    pos.sort(key=lambda x: profile(x - x0))
-    return ChainConfig(tuple(pos), float(x0), profile)
+    p, f = _chain_arrays(positions, x0, profile)
+    return ChainConfig(p[f.argsort(kind="stable")], float(x0), profile)
 
 
 # ----------------------------------------------------------------------

@@ -34,7 +34,7 @@ import numpy as np
 
 from .core import ChainConfig, PhysParams, State, _cmul, _evolution_terms, _keys, _product_bits
 from .errors import DimensionTooLarge, FlatResponse, LengthMismatch, OutOfRange, SelfCheckFailed
-from .qfi import FisherReport
+from .qfi import FisherReport, _seq_sum
 
 _P_FLOOR = 1e-15
 _DP_FLOOR = 1e-12
@@ -79,11 +79,6 @@ class OutcomeDistribution:
     @property
     def derivatives(self) -> tuple[float, ...]:
         return tuple(dp for _, _, dp in self.outcomes)
-
-
-def _seq_sum(x: np.ndarray) -> float:
-    """Sum in index order, as a Python loop adds (np.sum adds pairwise)."""
-    return float(np.cumsum(x)[-1]) if len(x) else 0.0
 
 
 def _parity_value_and_gradient(

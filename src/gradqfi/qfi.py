@@ -171,11 +171,19 @@ def qfi_max_separable(config: ChainConfig, params: PhysParams) -> FisherReport:
     return FisherReport(value, "closed-form:max-separable")
 
 
+def _seq_sum(x: np.ndarray) -> float:
+    """Sum in index order, bit for bit as Python's sum() (np.sum adds pairwise);
+    + 0.0 is sum()'s start value 0, which turns an all -0.0 sum into 0.0."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf/nan silently, as float arithmetic
+        return float(np.cumsum(x)[-1]) + 0.0 if len(x) else 0.0
+
+
 def _dfs_pair_sum(config: ChainConfig, k: int) -> float:
-    n = config.n
-    ell = min(k, n - k)
-    f = config.f_values
-    return float(sum(f[i] - f[n - 1 - i] for i in range(ell)))
+    """sum_{i<l} (f_i - f_{N-1-i}) with l = min(k, N-k), in index order."""
+    ell = min(k, config.n - k)
+    f = config.f_array
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _seq_sum(f[:ell] - f[::-1][:ell])
 
 
 def qfi_dfs_subspace(
@@ -264,7 +272,5 @@ def qfi_dicke(config: ChainConfig, params: PhysParams, k: int) -> FisherReport:
     if n == 1:
         # single qubit: both sectors are one-dimensional, no phase info
         return FisherReport(0.0, "closed-form:dicke")
-    centred = config.f_array - config.f_array.mean()
-    spread = math.fsum((centred * centred).tolist())
-    value = _gt2(params) * 4.0 * k * (n - k) / (n * (n - 1)) * spread
+    value = _gt2(params) * 4.0 * k * (n - k) / (n * (n - 1)) * config.spread
     return FisherReport(value, "closed-form:dicke")

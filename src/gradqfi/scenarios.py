@@ -31,6 +31,8 @@ from .errors import (
 from .noise import NoiseModel, coherence_factor
 from .qfi import (
     FisherReport,
+    _dfs_pair_sum,
+    _seq_sum,
     qfi_dfs_max,
     qfi_dfs_subspace,
     qfi_dicke,
@@ -111,7 +113,8 @@ def generate_placement(
     if spec.kind == "equidistant":
         if n < 2:
             raise OutOfRange(f"equidistant placement needs n >= 2, got {n}")
-        pos = [a + length * (i / (n - 1)) for i in range(n)]
+        with np.errstate(over="ignore", invalid="ignore"):  # inf silently, as float arithmetic
+            pos = a + length * (np.arange(n) / (n - 1))
     elif spec.kind == "all-at-end":
         pos = [a + length] * n
     elif spec.kind == "half-half":
@@ -151,14 +154,10 @@ def critical_time(config: ChainConfig, params: PhysParams) -> float:
     rate = config.n * params.gamma_prime * params.delta_e
     if rate == 0.0:
         raise NoNoise("gamma_prime * delta_e must be > 0 for a crossover time")
-    f = config.f_values
-    n = config.n
-    full_sum = float(sum(f))
-    pair_sum = float(sum(f[i] - f[n - 1 - i] for i in range(n // 2)))
+    full_sum = _seq_sum(config.f_array)
+    pair_sum = _dfs_pair_sum(config, config.n // 2)
     if full_sum == 0.0 or pair_sum == 0.0:
-        raise DegenerateGeometry(
-            "crossover needs nonzero profile sum and nonzero pair sum"
-        )
+        raise DegenerateGeometry("crossover needs nonzero profile sum and nonzero pair sum")
     ratio = (full_sum * full_sum) / (pair_sum * pair_sum)
     if ratio <= 1.0:
         return 0.0
@@ -361,11 +360,9 @@ def sweep_fig3(
     geo = full_sum * full_sum
     n = config.n
     rows = []
-    for i in range(points):
-        t = t_max * (i / (points - 1))
+    for t in (t_max * (i / (points - 1)) for i in range(points)):
         d = coherence_factor(model, t, n)
-        value = d * geo if factor_out_gamma_t else d * geo * (params.gamma * t) ** 2
-        rows.append((t, value))
+        rows.append((t, d * geo if factor_out_gamma_t else d * geo * (params.gamma * t) ** 2))
     meta = {
         "n": n,
         "gamma_prime_delta_e": params.gamma_prime * params.delta_e,

@@ -6,11 +6,12 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import cli_env
 from gradqfi import PhysParams, ValidationError, make_chain, measurement, qfi_dfs_subspace
-from gradqfi.cli import _COMMANDS, _FLAGS, RunConfig, build_parser, main
+from gradqfi.cli import _COMMANDS, _FLAGS, RunConfig, build_parser, emit_csv, main
 
 
 def run_cli(*args, cwd=None):
@@ -32,6 +33,14 @@ def test_a_failed_readout_self_check_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(measurement, "_walsh_hadamard", lambda vec: 1.01 * real(vec))
     assert main(["cfi", "--observable", "jx", "--state", "ghz", "--n", "3", "--grad", "0.4"]) == 1
     assert "probabilities sum to" in capsys.readouterr().err
+
+
+def test_csv_cells_keep_their_spelling_for_every_value_type():
+    row = (0.1, -0.0, math.inf, np.float64(0.1), np.float32(0.5), 3, np.int64(-2), True,
+           np.bool_(False), "odf")
+    assert emit_csv([f"c{i}" for i in range(len(row))], [row]).splitlines()[2] == (
+        "0.1,-0.0,inf,0.1,0.5,3,-2,true,false,odf"
+    )
 
 
 def test_qfi_ghz_reference_value():

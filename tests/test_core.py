@@ -1,6 +1,7 @@
 """Chain geometry, states, spectrum, and evolution against dense oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,89 @@ def test_make_chain_f_values_always_ascending(positions, x0):
     assert all(a <= b for a, b in zip(chain.f_values, chain.f_values[1:]))
     assert chain.n == len(positions)
     assert sorted(chain.positions) == sorted(positions)
+
+
+def _reference_chain(positions, x0, profile):
+    """make_chain in plain Python: float() each value, a stable sort on f(x - x0)."""
+    xs = sorted((float(x) for x in positions), key=lambda x: profile(x - x0))
+    return tuple(xs), tuple(profile(x - x0) for x in xs)
+
+
+def _hex(values):
+    return tuple(float(v).hex() for v in values)  # tells -0.0 from 0.0
+
+
+_TIED_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0]),
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+)
+_AS_INPUT = {
+    "tuple": tuple,
+    "list": list,
+    "iterator": iter,
+    "ndarray": np.array,
+    "int": lambda xs: [int(x) for x in xs],
+}
+_PROFILES = {
+    "linear": FieldProfile(),
+    "custom": FieldProfile("custom", lambda u: u * u * u - 0.25 * u),
+}
+
+
+@given(
+    st.lists(_TIED_FLOATS, min_size=1, max_size=12),
+    st.one_of(st.sampled_from([0.0, -0.0]), st.floats(min_value=-1e8, max_value=1e8)),
+    st.sampled_from(sorted(_AS_INPUT)),
+    st.sampled_from(sorted(_PROFILES)),
+)
+def test_chains_match_a_plain_python_oracle(positions, x0, kind, profile_name):
+    profile = _PROFILES[profile_name]
+    if kind == "int":
+        positions = [float(int(x)) for x in positions]
+    want_pos, want_f = _reference_chain(positions, x0, profile)
+    built = make_chain(_AS_INPUT[kind](positions), x0, profile)
+    direct = ChainConfig(_AS_INPUT[kind](want_pos), x0, profile)
+    for chain in (built, direct):
+        assert _hex(chain.positions) == _hex(want_pos)
+        assert _hex(chain.f_values) == _hex(want_f)
+        assert all(type(x) is float for x in chain.positions + chain.f_values)
+        assert chain.f_array.dtype == np.float64 and not chain.f_array.flags.writeable
+        assert chain.f_array.tobytes() == np.array(want_f, dtype=np.float64).tobytes()
+
+
+_NAN_ABOVE_HALF = FieldProfile("custom", lambda u: math.nan if u > 0.5 else 0.0)
+_FLOAT_OF_LIST = "float() argument must be a string or a real number, not 'list'"
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: make_chain([]), EmptyChain, "positions must contain at least one qubit"),
+        (lambda: ChainConfig(()), EmptyChain, "positions must contain at least one qubit"),
+        (lambda: make_chain([[1.0, 2.0]]), TypeError, _FLOAT_OF_LIST),
+        (lambda: ChainConfig([[1.0, 2.0]]), TypeError, _FLOAT_OF_LIST),
+        (lambda: make_chain([0.0, math.nan]), NonFiniteCoordinate, "position nan is not finite"),
+        (lambda: ChainConfig((0.0, -math.inf)), NonFiniteCoordinate,
+         "position -inf is not finite"),
+        (lambda: make_chain([0.0], x0=math.inf), NonFiniteCoordinate, "x0 inf is not finite"),
+        (lambda: ChainConfig((0.0,), math.nan), NonFiniteCoordinate, "x0 nan is not finite"),
+        (lambda: make_chain([1e308], -1e308), NonFiniteCoordinate,
+         "profile value inf is not finite"),
+        (lambda: make_chain([0.0, 1.0], profile=_NAN_ABOVE_HALF), NonFiniteCoordinate,
+         "profile value nan is not finite"),
+        # positions are checked before a custom profile sees them (sin(inf) raises)
+        (lambda: make_chain([math.inf, 0.0], profile=FieldProfile("custom", math.sin)),
+         NonFiniteCoordinate, "position inf is not finite"),
+        (lambda: ChainConfig((1.0, 0.0)), OutOfRange,
+         "positions must be ordered by ascending profile value; use make_chain"),
+    ],
+)
+def test_bad_chains_raise_the_named_error_without_a_warning(build, error, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow RuntimeWarning would fail here
+        with pytest.raises(error) as info:
+            build()
+    assert str(info.value) == message
 
 
 # ----------------------------------------------------------------------

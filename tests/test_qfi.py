@@ -364,6 +364,20 @@ def test_product_steady_matches_twirl_plus_general(n):
     assert want == pytest.approx(gt * gt * float(((f - f.mean()) ** 2).sum()), rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 3, 7, 40])
+def test_dicke_reads_the_chain_spread_bit_for_bit(n):
+    rng = np.random.default_rng(6800 + n)
+    chain = make_chain(1e4 + rng.uniform(-1, 1, size=n), x0=0.0)
+    params = random_params(rng)
+    centred = chain.f_array - chain.f_array.mean()
+    spread = math.fsum((centred * centred).tolist())
+    gt2 = (params.gamma * params.t) ** 2
+    for k in range(n + 1):
+        want = gt2 * 4.0 * k * (n - k) / (n * (n - 1)) * spread
+        assert qfi_dicke(chain, params, k).value.hex() == want.hex()
+    assert chain.__dict__["spread"] == spread  # computed once, kept on the chain
+
+
 def test_steady_and_dicke_values_ignore_the_reference_point():
     rng = np.random.default_rng(68)
     positions = sorted(rng.uniform(-1, 1, size=5))

@@ -1,6 +1,8 @@
 """Placements, time budgets, brute-force search, and the figure/table sweeps."""
 
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from gradqfi import (
     DegenerateGeometry,
     FisherReport,
     NoNoise,
+    NonFiniteCoordinate,
     NoiseModel,
     OutOfRange,
     PhysParams,
@@ -32,6 +35,7 @@ from gradqfi import (
     sweep_fig5,
     table1,
 )
+from gradqfi.qfi import _dfs_pair_sum
 
 
 # ----------------------------------------------------------------------
@@ -137,6 +141,62 @@ def test_critical_time_degenerate_and_quiet_cases():
     stacked = make_chain([0.7, 0.7])  # pair sum = 0
     with pytest.raises(DegenerateGeometry):
         critical_time(stacked, params)
+
+
+def _python_pair_sum(f, ell):
+    n = len(f)
+    return float(sum(f[i] - f[n - 1 - i] for i in range(ell)))  # starts from int 0
+
+
+def _python_critical_time(f, rate):
+    full_sum, pair_sum = float(sum(f)), _python_pair_sum(f, len(f) // 2)
+    if full_sum == 0.0 or pair_sum == 0.0:
+        return None
+    ratio = (full_sum * full_sum) / (pair_sum * pair_sum)
+    return 0.0 if ratio <= 1.0 else math.sqrt(2.0 * math.log(ratio)) / rate
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_pair_sums_equal_python_sum_bit_for_bit(seed):
+    rng = np.random.default_rng(9100 + seed)
+    n = int(rng.integers(1, 60))
+    offset = (0.0, 1e2, 1e4, 1e8)[seed % 4]
+    scale = 10.0 ** rng.uniform(-3, 3)
+    chain = make_chain(offset + scale * rng.uniform(-1, 1, n), x0=float(rng.uniform(-1, 1)))
+    params = PhysParams(gamma_prime=float(rng.uniform(0.5, 2.0)), delta_e=1.0)
+    f = chain.f_values
+    for k in range(n + 1):  # k = 0 and k = n give ell = 0
+        assert _dfs_pair_sum(chain, k).hex() == _python_pair_sum(f, min(k, n - k)).hex()
+    want = _python_critical_time(f, n * params.gamma_prime * params.delta_e)
+    if want is None:
+        with pytest.raises(DegenerateGeometry):
+            critical_time(chain, params)
+    else:
+        assert critical_time(chain, params).hex() == want.hex()
+
+
+def test_pair_sums_of_negative_zeros_are_positive_zero():
+    # f = (-0.0, 0.0): the one pair is -0.0 - 0.0 = -0.0, which Python's
+    # sum turns into 0.0 (0 + -0.0) while np.cumsum keeps -0.0
+    chain = make_chain([-0.0, 0.0], x0=0.0)
+    assert chain.f_values[0].hex() == "-0x0.0p+0"
+    assert _dfs_pair_sum(chain, 1).hex() == _python_pair_sum(chain.f_values, 1).hex() == "0x0.0p+0"
+    assert _dfs_pair_sum(chain, 0).hex() == "0x0.0p+0"
+    with pytest.raises(DegenerateGeometry):
+        critical_time(chain, PhysParams(delta_e=1.0))
+
+
+def test_overflowing_sums_give_inf_without_a_warning():
+    params = PhysParams(delta_e=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow RuntimeWarning would fail here
+        wide = make_chain([1e308, -1e308])
+        assert _dfs_pair_sum(wide, 1) == _python_pair_sum(wide.f_values, 1) == -math.inf
+        far = make_chain([1e308, 1e308, 0.5e308])
+        got, want = critical_time(far, params), _python_critical_time(far.f_values, 3.0)
+        assert got.hex() == want.hex() == "nan"  # inf * inf / inf, as floats give
+        with pytest.raises(NonFiniteCoordinate, match=r"^position inf is not finite$"):
+            generate_placement(PlacementSpec("equidistant", 3, 1e308, 1e308))
 
 
 def test_critical_time_is_zero_when_dfs_wins_from_the_start():
@@ -303,6 +363,14 @@ def test_fig5_sweep_columns_and_reference_values():
         sweep_fig5([1, 2, 3])
     with pytest.raises(OutOfRange):
         sweep_fig5([])
+
+
+def test_fig5b_sweep_to_four_thousand_qubits_runs_in_under_three_seconds():
+    start = time.perf_counter()
+    sweep = sweep_fig5(range(2, 4001), case="b")
+    elapsed = time.perf_counter() - start
+    assert len(sweep.rows) == 3999
+    assert elapsed < 3.0, f"sweep_fig5 b to n = 4000 took {elapsed:.2f} s"
 
 
 def test_fig5_w_state_flattens_to_a_third():
