@@ -57,6 +57,7 @@ from .noise import (
 )
 from .qfi import (
     FisherReport,
+    _dfs_report,
     qfi_dfs_subspace,
     qfi_dicke,
     qfi_general,
@@ -410,7 +411,7 @@ def _state_qfi(cfg: RunConfig, config: ChainConfig, params: PhysParams) -> Fishe
     if cfg.state == "product":
         return qfi_max_separable(config, params)
     if cfg.state == "odf":
-        return qfi_dfs_subspace(config, params, cfg.k_value())[0]
+        return _dfs_report(config, params, cfg.k_value())
     return qfi_dicke(config, params, cfg.k_value())
 
 
@@ -422,10 +423,8 @@ def cmd_qfi(cfg: RunConfig) -> int:
             report = qfi_noisy_ghz(config, params)
         elif cfg.state == "psi-m":
             report = qfi_noisy_psim(config, params, cfg.m_value())
-        elif cfg.state == "dicke":
-            report = qfi_dicke(config, params, cfg.k_value())
-        elif cfg.state == "odf":  # both branches in sector k: decoherence-free
-            report = qfi_dfs_subspace(config, params, cfg.k_value())[0]
+        elif cfg.state in ("dicke", "odf"):  # one excitation sector: decoherence-free
+            report = _state_qfi(cfg, config, params)
         else:
             raise ValidationError(
                 f"--scenario noisy has no closed form for --state {cfg.state} "
@@ -586,8 +585,7 @@ _CLOSED_FORM_CHECKS = (
     ("max-entangled", False, lambda c, p, k: qfi_max_entangled(c, p)),
     ("product", False, lambda c, p, k: (
         qfi_max_separable(c, p), make_named_state("product", c.n))),
-    ("odf", True, lambda c, p, k: (
-        qfi_dfs_subspace(c, p, k)[0], make_named_state("odf", c.n, k=k))),
+    ("odf", True, lambda c, p, k: qfi_dfs_subspace(c, p, k)),
     ("dicke", True, lambda c, p, k: (
         qfi_dicke(c, p, k), make_named_state("dicke", c.n, k=k))),
     ("psim", True, lambda c, p, k: _pure(make_named_state("psi-m", c.n, m=k), c, p)),

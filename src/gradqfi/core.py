@@ -15,10 +15,11 @@ belongs to qubit 1 (the smallest f).  sigma_z |0> = +|0>.
 A pure state is a bool matrix with one row per basis bitstring (column i
 is qubit i + 1) and a complex amplitude vector; every layer reads those
 arrays, and only SparseState.from_terms and SparseState.terms spell the
-rows as '0'/'1' strings.  The gradient reaches a state only through the
+rows as '0'/'1' strings; the named states are built as whole arrays, the
+Dicke rows by block copies.  The gradient reaches a state only through the
 phase each row picks up; _evolution_terms computes that phase and the
 eigenvalue lambda_I of H_G once, for evolve, the measurement readouts and
-the Monte Carlo trajectories alike.
+the Monte Carlo trajectories alike, in one pass over each qubit's row.
 
 Everything here is immutable and side-effect free, so all operations
 are safe to call concurrently.
@@ -395,7 +396,9 @@ def _evolution_terms(
     (1/2) sum_i s_i gamma t (B0 + G f_i) sums per-qubit turns reduced
     modulo 4 pi, so it stays within n pi and is not rounded at the scale of
     a large f.  Both are half the all-qubit sum minus the sum over the
-    excited qubits, accumulated qubit by qubit in chain order.
+    excited qubits, accumulated qubit by qubit in chain order: one contiguous
+    copy of bits.T gives each qubit's row in a run, and one product with the
+    pair (turn_i, f_i - c) adds it to both sums.
     """
     n = config.n
     if bits.shape[1] != n:
@@ -405,14 +408,12 @@ def _evolution_terms(
     c = math.fsum(config.f_values) / n
     centred = [fx - c for fx in config.f_values]
     turns = [math.remainder(gbt + ggt * fx, 4.0 * math.pi) for fx in config.f_values]
-    excited = bits.T  # (qubit, term)
-    phase = np.zeros(excited.shape[1])
-    lam = np.zeros(excited.shape[1])
-    for row, turn, g in zip(excited, turns, centred):
-        phase += row * turn
-        lam += row * g
-    phase = 0.5 * math.fsum(turns) - phase
-    lam = 0.5 * math.fsum(centred) - lam + c * (0.5 * n - excited.sum(axis=0))
+    excited = np.ascontiguousarray(bits.T)  # (qubit, term)
+    sums = np.zeros((2, excited.shape[1]))  # the phase and lambda sums over excited qubits
+    for row, turn_g in zip(excited, np.array([turns, centred]).T[:, :, None]):
+        sums += row * turn_g
+    phase = 0.5 * math.fsum(turns) - sums[0]
+    lam = 0.5 * math.fsum(centred) - sums[1] + c * (0.5 * n - excited.sum(axis=0, dtype=np.int32))
     return phase, lam
 
 
@@ -441,14 +442,8 @@ STATE_NAMES = ("ghz", "ghz-theta", "product", "odf", "dicke", "psi-m")
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
-def make_named_state(
-    name: str,
-    n_qubits: int,
-    *,
-    k: int | None = None,
-    m: int | None = None,
-    theta: float = 0.0,
-) -> SparseState:
+def make_named_state(name: str, n_qubits: int, *, k: int | None = None, m: int | None = None,
+                     theta: float = 0.0) -> SparseState:
     """Construct one of the standard probe states.
 
     ghz        (|0..0> + |1..1>)/sqrt(2)
@@ -491,16 +486,10 @@ def make_named_state(
     # dicke
     count = math.comb(n_qubits, k)
     if count > SPARSE_CAP:
-        raise SupportTooLarge(
-            f"dicke state needs C({n_qubits},{k})={count} terms, above the sparse cap"
-        )
-    combos = itertools.chain.from_iterable(itertools.combinations(range(n_qubits), k))
-    ones = np.fromiter(combos, dtype=np.min_scalar_type(n_qubits), count=count * k)
-    bits = np.zeros((count, n_qubits), dtype=bool)
-    rows = np.arange(count - 1, -1, -1)  # combinations come in descending bitstring order
-    for col in ones.reshape(count, k).T:
-        bits[rows, col] = True
-    return SparseState(n_qubits, bits, np.full(count, 1.0 / math.sqrt(count), complex))
+        raise SupportTooLarge(f"dicke state needs C({n_qubits},{k})={count} terms, "
+                              "above the sparse cap")
+    return SparseState(n_qubits, _dicke_bits(n_qubits, k),
+                       np.full(count, 1.0 / math.sqrt(count), complex))
 
 
 def _two_branch(n: int, first: int, last: int, amp_first: complex = _SQRT_HALF) -> SparseState:
@@ -509,6 +498,27 @@ def _two_branch(n: int, first: int, last: int, amp_first: complex = _SQRT_HALF) 
     bits[0, n - last :] = True
     bits[1, :first] = True
     return SparseState(n, bits, np.array((_SQRT_HALF, amp_first), dtype=np.complex128))
+
+
+def _dicke_bits(n: int, k: int) -> np.ndarray:
+    """D(n, k), the C(n, k) weight-k rows ascending.  By the first excitation p, D(w, m) is
+    blocks p = w - m..0 of 0^p 1 and the top C(w-1-p, m-1) rows of D(w-1, m-1), n wide and
+    right-aligned: one flat copy and one strided column each.  k > n/2 flips D(n, n - k)."""
+    if 2 * k > n:
+        return ~_dicke_bits(n, n - k)[::-1]
+    blocks = n - k + 1  # D(blocks, 1) is the anti-diagonal
+    bits = (np.eye(blocks, n, n - blocks, dtype=bool)[::-1] if k
+            else np.zeros((1, n), dtype=bool)).reshape(-1)
+    sizes = [1] * blocks  # block i of level m has C(m - 1 + i, m - 1) rows
+    for width in range(blocks + 1, n + 1):
+        sizes = list(itertools.accumulate(sizes))
+        out, start = np.empty(sum(sizes) * n, dtype=bool), 0
+        for col, size in zip(range(n - width + blocks - 1, n - width - 1, -1), sizes):
+            out[start : start + size * n] = bits[: size * n]
+            out[start + col : start + size * n : n] = True
+            start += size * n
+        bits = out
+    return bits.reshape(-1, n)
 
 
 def _product_bits(n: int) -> np.ndarray:

@@ -13,10 +13,11 @@ differences anywhere outside the test suite).  phase(I) and lambda_I come
 from core._evolution_terms on the state's bit matrix, the rule evolve
 uses, so a readout and the evolved state agree digit for digit even on
 chains far from x0.  The parity readout finds each row's complement by
-searching the key of ~bits among the sorted row keys; the J_x
-readout scatters the amplitudes into dense 2^N vectors and is capped at
-N = 12.  A distribution the library computes that fails its own sum
-checks raises SelfCheckFailed, not the OutOfRange a user-built one gets.
+searching (2^N - 1) - index among the ascending int64 row indices (byte
+strings past 62 qubits); the J_x readout scatters the amplitudes into
+dense 2^N vectors and is capped at N = 12.  A distribution the library
+computes that fails its own sum checks raises SelfCheckFailed, not the
+OutOfRange a user-built one gets.
 
 Note on two-branch states: sigma_x^(x)N connects a bitstring only to its
 complement, so an unbalanced two-branch state (k excitations vs k
@@ -81,6 +82,25 @@ class OutcomeDistribution:
         return tuple(dp for _, _, dp in self.outcomes)
 
 
+def _complement_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of an ascending bit matrix whose complement is a row too, and that row: index I
+    meets (2^n - 1) - I in an int64 search (past 62 qubits, ~bits as byte strings)."""
+    n = bits.shape[1]
+    if n <= 62:  # each row's index, packed a byte at a time from rows padded to whole bytes
+        padded = np.concatenate([np.zeros((len(bits), -n % 8), dtype=bool), bits], axis=1)
+        keys = np.zeros(len(bits), dtype=np.int64)
+        for byte in np.packbits(padded.reshape(-1)).reshape(len(bits), -1).T:
+            keys = keys << 8 | byte
+        flipped = ((1 << n) - 1) - keys
+    else:
+        keys, flipped = _keys(bits), _keys(~bits)
+    low = np.count_nonzero(keys < flipped)  # the rows below their complement come first
+    at = np.minimum(np.searchsorted(keys[low:], flipped[:low]) + low, len(keys) - 1)
+    lower = np.flatnonzero(keys[at] == flipped[:low])  # each pair is searched once
+    upper = at[lower][::-1]
+    return np.concatenate([lower, upper]), np.concatenate([upper[::-1], lower[::-1]])
+
+
 def _parity_value_and_gradient(
     state: State, config: ChainConfig, params: PhysParams
 ) -> tuple[float, float]:
@@ -89,24 +109,19 @@ def _parity_value_and_gradient(
     The contraction pairs each bitstring with its complement:
     <X^N> = sum_I conj(a'_comp(I)) a'_I; differentiating the evolution
     phases gives the exact gradient term -2i gamma t lambda_I per pair.
-    The complement of row I is the key of ~bits[I], looked up in the
-    sorted keys of the support.
     """
     gt = params.gamma * params.t
-    value = 0.0
-    grad = 0.0
+    value = grad = 0.0
     for weight, vec in state.eigenpairs:
         phase, lam = _evolution_terms(vec.bits, config, params)
         amps = _cmul(vec.amps, np.cos(phase), -np.sin(phase))
-        keys = _keys(vec.bits)
-        flipped = _keys(~vec.bits)
-        at = np.minimum(np.searchsorted(keys, flipped), len(keys) - 1)
-        paired = np.flatnonzero(keys[at] == flipped)
-        partner, amps = amps[at[paired]], amps[paired]
+        paired, at = _complement_rows(vec.bits)
+        partner, amps = amps[at], amps[paired]
         term = _cmul(amps, partner.real, -partner.imag)
-        dterm = _cmul(term, 0.0, (-2.0 * gt) * lam[paired])
+        # the real part of _cmul(term, 0.0, -2 gt lambda), rounded as _cmul rounds it
+        dterm = term.real * 0.0 - term.imag * ((-2.0 * gt) * lam[paired])
         value += weight * _seq_sum(term.real)
-        grad += weight * _seq_sum(dterm.real)
+        grad += weight * _seq_sum(dterm)
     return value, grad
 
 
@@ -118,13 +133,11 @@ def parity_expectation(state: State, config: ChainConfig, params: PhysParams) ->
     GHZ_theta, and cos[gamma G t * pair sum] (offset-free) for the
     balanced two-branch probe.
     """
-    value, _ = _parity_value_and_gradient(state, config, params)
-    return value
+    return _parity_value_and_gradient(state, config, params)[0]
 
 
-def parity_distribution(
-    state: State, config: ChainConfig, params: PhysParams
-) -> OutcomeDistribution:
+def parity_distribution(state: State, config: ChainConfig,
+                        params: PhysParams) -> OutcomeDistribution:
     """Two-outcome parity statistics p(+/-1) = (1 +/- <X^N>)/2 with exact dG derivatives."""
     return _parity_outcomes(*_parity_value_and_gradient(state, config, params))
 
@@ -227,11 +240,7 @@ def jx_distribution(
     )
 
 
-def error_propagation(
-    state: State,
-    config: ChainConfig,
-    params: PhysParams,
-) -> float:
+def error_propagation(state: State, config: ChainConfig, params: PhysParams) -> float:
     """Single-shot estimator variance (error propagation) at this operating point:
 
     Delta^2 G = (<M^2> - <M>^2) / (d<M>/dG)^2 with <M^2> = 1 for parity.
@@ -264,8 +273,6 @@ def theta_for_saturation(config: ChainConfig, params: PhysParams) -> float:
     i.e. theta = pi/2 - N gamma B0 t - gamma G t sum f.  Intended for
     tests and demonstrations; in the field alpha is not known a priori.
     """
-    base = (
-        config.n * params.gamma * params.b0 * params.t
-        + params.gamma * params.grad * params.t * float(sum(config.f_values))
-    )
+    base = (config.n * params.gamma * params.b0 * params.t
+            + params.gamma * params.grad * params.t * float(sum(config.f_values)))
     return 0.5 * math.pi - base

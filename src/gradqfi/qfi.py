@@ -186,6 +186,15 @@ def _dfs_pair_sum(config: ChainConfig, k: int) -> float:
         return _seq_sum(f[:ell] - f[::-1][:ell])
 
 
+def _dfs_report(config: ChainConfig, params: PhysParams, k: int,
+                path: str = "closed-form:dfs-subspace") -> FisherReport:
+    """qfi_dfs_subspace's report under the given path, without building its state."""
+    if not 0 <= k <= config.n:
+        raise OutOfRange(f"k must be in [0, {config.n}], got {k!r}")
+    pair_sum = _dfs_pair_sum(config, k)
+    return FisherReport(_gt2(params) * pair_sum * pair_sum, path)
+
+
 def qfi_dfs_subspace(
     config: ChainConfig, params: PhysParams, k: int
 ) -> tuple[FisherReport, SparseState]:
@@ -196,21 +205,13 @@ def qfi_dfs_subspace(
     excitations on the leading qubits in one branch and mirrored at the
     trailing end in the other.
     """
-    n = config.n
-    if not 0 <= k <= n:
-        raise OutOfRange(f"k must be in [0, {n}], got {k!r}")
-    pair_sum = _dfs_pair_sum(config, k)
-    value = _gt2(params) * pair_sum * pair_sum
-    state = make_named_state("odf", n, k=k)
-    return FisherReport(value, "closed-form:dfs-subspace"), state
+    return _dfs_report(config, params, k), make_named_state("odf", config.n, k=k)
 
 
-def qfi_dfs_max(
-    config: ChainConfig, params: PhysParams
-) -> tuple[FisherReport, SparseState]:
+def qfi_dfs_max(config: ChainConfig, params: PhysParams) -> tuple[FisherReport, SparseState]:
     """Best decoherence-free QFI over all sectors, reached at k = floor(N/2)."""
-    report, state = qfi_dfs_subspace(config, params, config.n // 2)
-    return FisherReport(report.value, "closed-form:dfs-max"), state
+    report = _dfs_report(config, params, config.n // 2, "closed-form:dfs-max")
+    return report, make_named_state("odf", config.n, k=config.n // 2)
 
 
 def qfi_noisy_ghz(config: ChainConfig, params: PhysParams) -> FisherReport:

@@ -32,9 +32,8 @@ from .noise import NoiseModel, coherence_factor
 from .qfi import (
     FisherReport,
     _dfs_pair_sum,
+    _dfs_report,
     _seq_sum,
-    qfi_dfs_max,
-    qfi_dfs_subspace,
     qfi_dicke,
     qfi_max_entangled,
     qfi_max_separable,
@@ -288,7 +287,7 @@ def brute_force_placement_search(
     elif objective == "separable-known-b0":
         report = qfi_max_separable(config, params)
     elif objective == "dfs-max":
-        report = qfi_dfs_max(config, params)[0]
+        report = _dfs_report(config, params, config.n // 2, "closed-form:dfs-max")
     else:
         report = qfi_product_steady(config, params)
 
@@ -402,7 +401,7 @@ def sweep_fig4(
     for k in range(n + 1):
         rows.append(
             (float(k),)
-            + tuple(qfi_dfs_subspace(configs[kind], params, k)[0].value for kind in kinds)
+            + tuple(_dfs_report(configs[kind], params, k).value for kind in kinds)
         )
     meta = {"n": n, "length": length, "gamma_t": gamma_t, "normalized_index": normalized_index}
     return SweepResult("excitation_k", ("k",) + kinds, tuple(rows), meta)
@@ -442,7 +441,7 @@ def sweep_fig5(
             product = qfi_max_separable(config, params).value
             rows.append((float(n), ghz, product))
         else:
-            odf = qfi_dfs_max(config, params)[0].value
+            odf = _dfs_report(config, params, config.n // 2).value
             dicke = qfi_dicke(config, params, n // 2).value
             w = qfi_dicke(config, params, 1).value
             steady = qfi_product_steady(config, params).value
@@ -535,8 +534,8 @@ def table1(n: int = 4, length: float = 3.0, gamma_t: float = 1.0) -> TableOne:
         ),
         "odf-half": (
             odf_general,
-            qfi_dfs_max(half, params)[0].value,
-            qfi_dfs_max(equi, params)[0].value,
+            _dfs_report(half, params, half.n // 2).value,
+            _dfs_report(equi, params, equi.n // 2).value,
             gt2 * l2 * n * n / 4.0,
             gt2 * l2 * n**4 / (16.0 * (n - 1) ** 2),
         ),

@@ -147,6 +147,32 @@ def oracle_parity(state, config, params):
     return float(np.trace(dense_parity_x(state.n_qubits) @ rho).real)
 
 
+def reference_evolution_terms(rows, config, params):
+    """Phase and lambda of each bitstring, one Python float at a time.
+
+    Per qubit in chain order, each row adds excited * turn_i to its phase
+    and excited * (f_i - c) to its lambda accumulator (excited = 0.0 or
+    1.0); the totals are then subtracted from the half sums, as in
+    core._evolution_terms.  Returns two float64 arrays over rows.
+    """
+    n = config.n
+    gbt = params.gamma * params.b0 * params.t
+    ggt = params.gamma * params.grad * params.t
+    c = math.fsum(config.f_values) / n
+    centred = [fx - c for fx in config.f_values]
+    turns = [math.remainder(gbt + ggt * fx, 4.0 * math.pi) for fx in config.f_values]
+    phases, lams = [], []
+    for bits in rows:
+        phase = lam = 0.0
+        for ch, turn, g in zip(bits, turns, centred):
+            excited = 1.0 if ch == "1" else 0.0
+            phase += excited * turn
+            lam += excited * g
+        phases.append(0.5 * math.fsum(turns) - phase)
+        lams.append(0.5 * math.fsum(centred) - lam + c * (0.5 * n - bits.count("1")))
+    return np.array(phases), np.array(lams)
+
+
 def reference_named_state(name, n, k=None, m=None, theta=0.0):
     """(bitstring, amplitude) terms of a named probe, spelled out as strings, sorted."""
     half = 1.0 / math.sqrt(2.0)

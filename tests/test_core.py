@@ -1,5 +1,6 @@
 """Chain geometry, states, spectrum, and evolution against dense oracles."""
 
+import itertools
 import math
 import warnings
 
@@ -27,7 +28,7 @@ from gradqfi import (
     make_chain,
     make_named_state,
 )
-from gradqfi.core import STATE_NAMES, _evolution_terms, _sector_spectral
+from gradqfi.core import STATE_NAMES, _dicke_bits, _evolution_terms, _sector_spectral
 from gradqfi.measurement import _basis_excitations
 
 from conftest import (
@@ -36,6 +37,7 @@ from conftest import (
     random_chain,
     random_params,
     random_sparse,
+    reference_evolution_terms,
     reference_named_state,
     to_dense,
 )
@@ -366,9 +368,52 @@ def test_evolution_terms_match_a_per_bitstring_loop(offset):
         )
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e2, 1e4, 1e8])
+@pytest.mark.parametrize(
+    "name,n,kw",
+    [("product", 8, {}), ("dicke", 10, {"k": 5}), ("dicke", 9, {"k": 2}), ("ghz", 12, {}),
+     ("psi-m", 9, {"m": 3})],
+)
+def test_evolution_terms_equal_the_per_qubit_reference_bytes(name, n, kw, offset):
+    rng = np.random.default_rng(1301 + n)
+    chain = make_chain(offset + np.sort(rng.uniform(0.0, 1.0, size=n)), x0=0.0)
+    params = random_params(rng, grad=float(rng.uniform(0.1, 1.0)))
+    state = make_named_state(name, n, **kw)
+    phase, lam = _evolution_terms(state.bits, chain, params)
+    want_phase, want_lam = reference_evolution_terms([b for b, _ in state.terms], chain, params)
+    assert phase.tobytes() == want_phase.tobytes()
+    assert lam.tobytes() == want_lam.tobytes()
+
+
 # ----------------------------------------------------------------------
 # named states
 # ----------------------------------------------------------------------
+
+
+def _rows(bits):
+    return ["".join("01"[b] for b in row) for row in bits.tolist()]
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_dicke_rows_equal_the_combinations_oracle(n):
+    for k in range(n + 1):
+        want = sorted(
+            "".join("1" if i in ones else "0" for i in range(n))
+            for ones in itertools.combinations(range(n), k)
+        )
+        bits = _dicke_bits(n, k)
+        assert bits.dtype == bool and bits.shape == (math.comb(n, k), n)
+        assert _rows(bits) == want  # ascending and unique, so no re-sort is needed
+        assert make_named_state("dicke", n, k=k).bits.tobytes() == bits.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 10])
+def test_dicke_rows_at_twenty_qubits(k):
+    bits = make_named_state("dicke", 20, k=k).bits
+    assert bits.shape == (math.comb(20, k), 20)
+    first, last = _rows(bits[[0, -1]])
+    assert first == "0" * (20 - k) + "1" * k
+    assert last == "1" * k + "0" * (20 - k)
 
 
 def test_ghz_structure():

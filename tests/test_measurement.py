@@ -28,6 +28,8 @@ from gradqfi import (
     theta_for_saturation,
 )
 
+from gradqfi.core import SparseState, SpectralState, _cmul, _evolution_terms
+
 from conftest import (
     oracle_parity,
     random_chain,
@@ -137,6 +139,74 @@ def test_parity_readout_matches_the_evolved_state_far_from_x0(n, offset):
         )
         got = parity_expectation(state, chain, params)
         assert abs(contracted.real - got) <= 1e-12, f"{contracted.real!r} vs {got!r}"
+
+
+def _dict_paired_parity(state, chain, params):
+    """Parity value and gradient with each complement found by a dict lookup
+    on bitstrings, summed row by row with the readout's arithmetic."""
+    gt = params.gamma * params.t
+    flip = str.maketrans("01", "10")
+    value = grad = 0.0
+    for weight, vec in state.eigenpairs:
+        phase, lam = _evolution_terms(vec.bits, chain, params)
+        amps = _cmul(vec.amps, np.cos(phase), -np.sin(phase)).tolist()
+        rows = [bits for bits, _ in vec.terms]
+        where = {bits: j for j, bits in enumerate(rows)}
+        v_sum = d_sum = 0.0
+        for i, bits in enumerate(rows):
+            j = where.get(bits.translate(flip))
+            if j is None:
+                continue
+            a, b = amps[i], amps[j]
+            re = a.real * b.real - a.imag * -b.imag
+            im = a.real * -b.imag + a.imag * b.real
+            v_sum += re
+            d_sum += re * 0.0 - im * ((-2.0 * gt) * float(lam[i]))
+        value += weight * v_sum
+        grad += weight * d_sum
+    return value, grad
+
+
+def _random_subset(rng, n, size):
+    """A random support with the complements of a third of its rows added, so
+    some rows pair up and others do not."""
+    flip = str.maketrans("01", "10")
+    rows = sorted({format(int(v), f"0{n}b") for v in rng.integers(0, 1 << min(n, 62), size=size)})
+    rows = sorted(set(rows) | {bits.translate(flip) for bits in rows[: len(rows) // 3]})
+    amps = rng.normal(size=len(rows)) + 1j * rng.normal(size=len(rows))
+    return SparseState.from_terms(n, zip(rows, amps / np.linalg.norm(amps)))
+
+
+@pytest.mark.parametrize("n", [2, 5, 9, 20, 62, 63, 100])
+def test_parity_pairs_each_row_with_its_complement_as_a_dict_lookup(n):
+    rng = np.random.default_rng(1303 + n)
+    chain = make_chain(1e2 + np.sort(rng.uniform(0.0, 1.0, size=n)), x0=0.0)
+    params = random_params(rng, grad=float(rng.uniform(0.1, 1.0)))
+    states = [
+        make_named_state("ghz", n),
+        make_named_state("psi-m", n, m=1),
+        make_named_state("psi-m", n, m=n // 2),
+        make_named_state("odf", n, k=1),
+        _random_subset(rng, n, 40),
+    ]
+    if n % 2:
+        states.append(make_named_state("odf", n, k=n // 2))
+    if n <= 20:
+        states.append(make_named_state("dicke", n, k=n // 2))
+    # GHZ and psi-m with m = 1 share no row, so they mix into a rank-2 state
+    states.append(SpectralState(n, ((0.3, states[0]), (0.7, states[1]))))
+    for state in states:
+        got = measurement._parity_value_and_gradient(state, chain, params)
+        assert got == _dict_paired_parity(state, chain, params)
+
+
+def test_parity_pairing_of_a_mixture_with_shared_rows():
+    rng = np.random.default_rng(1304)
+    chain = random_chain(rng, 4)
+    params = random_params(rng)
+    state = random_mixture(rng, 4, rank=3)
+    got = measurement._parity_value_and_gradient(state, chain, params)
+    assert got == _dict_paired_parity(state, chain, params)
 
 
 def test_parity_matches_dense_oracle_for_mixtures():
