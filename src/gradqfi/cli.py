@@ -182,7 +182,7 @@ def _fmt_cell(value) -> str:
 def emit_csv(columns: Sequence[str], rows: Sequence[Sequence]) -> str:
     lines = [CSV_MAGIC, ",".join(columns)]
     for row in rows:
-        lines.append(",".join(_fmt_cell(v) for v in row))
+        lines.append(",".join(map(_fmt_cell, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -727,16 +727,6 @@ _COMMANDS = {
 }
 
 
-def _add_flags(sp: argparse.ArgumentParser) -> None:
-    for flag, spec in _FLAGS.items():
-        if spec.kind is bool:
-            sp.add_argument(f"--{flag}", action="store_const", const=True, help=spec.help)
-        elif isinstance(spec.kind, tuple):
-            sp.add_argument(f"--{flag}", choices=spec.kind, help=spec.help)
-        else:
-            sp.add_argument(f"--{flag}", type=spec.kind, help=spec.help)
-
-
 # argparse reads only -N and -N.N as negative numbers, so in `--x0 -1e2` or
 # `--positions -1,0,1` it takes the value for another option; these patterns
 # pick out such values of the float flags and --positions
@@ -762,7 +752,8 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(args, namespace)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, with the flag table on each or on `command` alone."""
     parser = _Parser(
         prog="gradqfi",
         description=(
@@ -773,17 +764,27 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, spec in _COMMANDS.items():
-        sp = sub.add_parser(command, help=spec.help)
-        if command == "reproduce":
+    for name, cmd in _COMMANDS.items():
+        sp = sub.add_parser(name, help=cmd.help)
+        if name == "reproduce":
             sp.add_argument("target", choices=tuple(_TARGET_DEFAULTS))
-        _add_flags(sp)
+        if command not in (None, name):
+            continue
+        for flag, spec in _FLAGS.items():
+            if spec.kind is bool:
+                sp.add_argument(f"--{flag}", action="store_const", const=True, help=spec.help)
+            elif isinstance(spec.kind, tuple):
+                sp.add_argument(f"--{flag}", choices=spec.kind, help=spec.help)
+            else:
+                sp.add_argument(f"--{flag}", type=spec.kind, help=spec.help)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top level takes no option with a value, so argparse runs the first
+    # word that is not an option as the command: only it needs the flags
+    args = build_parser(next((a for a in argv if not a.startswith("-")), "")).parse_args(argv)
     try:
         cfg = RunConfig(args.command, getattr(args, "target", None), args)
         return _COMMANDS[args.command].handler(cfg)

@@ -28,18 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ChainConfig,
-    PhysParams,
-    SparseState,
-    SpectralState,
-    State,
-    _joint_support,
-    _kept_spectrum,
-    _keys,
-    _normalized,
-    _sector_spectral,
-    _unit_state,
-    evolve,
+    ChainConfig, PhysParams, SparseState, SpectralState, State, _excitations, _joint_support,
+    _kept_spectrum, _keys, _normalized, _sector_spectral, _unit_state, evolve,
 )
 from .errors import NegativeTime, OutOfRange, ZeroTrajectories
 
@@ -173,7 +163,7 @@ def steady_twirl(state: State) -> SpectralState:
     # sector -> list of (outer weight, bits, amplitudes) of each eigenvector's part in it
     sectors: dict[int, list[tuple[float, np.ndarray, np.ndarray]]] = {}
     for weight, vec in state.eigenpairs:
-        k = vec.bits.sum(axis=1)
+        k = _excitations(vec.bits)
         for sector in np.flatnonzero(np.bincount(k)).tolist():
             rows = k == sector
             sectors.setdefault(sector, []).append((weight, vec.bits[rows], vec.amps[rows]))
@@ -195,16 +185,6 @@ def steady_twirl(state: State) -> SpectralState:
 # ----------------------------------------------------------------------
 
 
-def _box_muller(u: np.ndarray) -> np.ndarray:
-    """Standard normals from uniform [0,1) pairs, column-paired."""
-    z = np.empty_like(u)
-    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
-    angle = (2.0 * math.pi) * u[:, 1::2]
-    z[:, 0::2] = radius * np.cos(angle)
-    z[:, 1::2] = radius * np.sin(angle)
-    return z
-
-
 def _char_function(
     seed: int, n_traj: int, t: float, model: NoiseModel,
     gamma_prime: float, n_qubits: int,
@@ -218,9 +198,10 @@ def _char_function(
     transition covariance (Gillespie, Phys. Rev. E 54, 2084 (1996)), so
     the estimate has no discretization bias at any t.  Y_t is drawn from
     the Cholesky factor of that covariance; X_t itself is never needed.
-    Trajectory i reads one Philox counter (four uniforms, three normals
-    used: X_0, the X_t noise, the Y_t noise) at counter i, so the stream
-    layout does not depend on t and the result does not depend on chunking.
+    Trajectory i reads one Philox counter, four uniforms, at counter i and
+    forms by Box-Muller only the three normals it uses (X_0, the X_t noise,
+    the Y_t noise), so the stream layout does not depend on t and the
+    result does not depend on chunking.
     """
     tau = model.tau_c
     sig2 = model.delta_e * model.delta_e
@@ -241,9 +222,14 @@ def _char_function(
         bitgen = np.random.Philox(key=seed)
         bitgen.advance(lo)        # one counter (four outputs) per trajectory
         u = np.random.Generator(bitgen).random((hi - lo, 4), dtype=np.float64)
-        z = _box_muller(u)
-        x0 = model.delta_e * z[:, 0]         # stationary initial sample
-        y = drift * x0 + b * z[:, 2] + c * z[:, 3]
+        # Box-Muller on the pairs (u0, u1) and (u2, u3) without r0 sin(a0), which
+        # nothing reads; a column is read strided once, by the negation or the
+        # 2 pi product, so log1p, sqrt, cos and sin run on contiguous vectors
+        r1 = np.sqrt(-2.0 * np.log1p(-u[:, 2]))
+        a1 = (2.0 * math.pi) * u[:, 3]
+        z0 = np.sqrt(-2.0 * np.log1p(-u[:, 0])) * np.cos((2.0 * math.pi) * u[:, 1])
+        x0 = model.delta_e * z0              # stationary initial sample
+        y = drift * x0 + b * (r1 * np.cos(a1)) + c * (r1 * np.sin(a1))
         base = np.exp(-1j * (gamma_prime * y))
         cur = np.ones(hi - lo, dtype=np.complex128)
         for dk in range(n_qubits + 1):

@@ -24,12 +24,7 @@ import numpy as np
 
 from . import noise as _noise
 from .core import (
-    ChainConfig,
-    PhysParams,
-    SparseState,
-    State,
-    _joint_support,
-    make_named_state,
+    ChainConfig, PhysParams, SparseState, State, _excitations, _joint_support, make_named_state,
 )
 from .errors import LengthMismatch, OutOfRange
 
@@ -53,8 +48,8 @@ class FisherReport:
     divergent: bool = False
 
     def __post_init__(self):
-        if not self.divergent and not (self.value >= 0.0):
-            raise OutOfRange(f"Fisher information must be >= 0, got {self.value!r}")
+        if not self.divergent:
+            _fisher_value(self.value)
 
     @property
     def crb_variance(self) -> float:
@@ -66,11 +61,29 @@ class FisherReport:
         return 1.0 / self.value
 
 
-def _spectral_qfi(state: State, config: ChainConfig, params: PhysParams) -> float:
-    """QFI of rho = sum_a w_a |a><a| for the generator H_G, on the joint support.
+def _fisher_value(value: float) -> float:
+    """value, checked to be a Fisher information: >= 0 and not NaN."""
+    if not (value >= 0.0):
+        raise OutOfRange(f"Fisher information must be >= 0, got {value!r}")
+    return value
 
-    The r eigenvectors are the rows of V over their joint support of s
-    basis states, and H_ab = sum_I conj(V_aI) lambda_I V_bI.  The value is
+
+def _spectral_qfi(state: State, config: ChainConfig, params: PhysParams) -> float:
+    """QFI of rho = sum_a w_a |a><a| for H_G: _spectral_core on the joint support."""
+    if state.n_qubits != config.n:
+        raise LengthMismatch(f"state has {state.n_qubits} qubits but chain has {config.n}")
+    pairs = state.eigenpairs
+    excited, v = _joint_support([(vec.bits, vec.amps) for _, vec in pairs])
+    return _spectral_core(excited, v, [w for w, _ in pairs], config.f_array,
+                          params.gamma * params.t)
+
+
+def _spectral_core(excited: np.ndarray, v: np.ndarray, weights: list[float],
+                   f: np.ndarray, gt: float) -> float:
+    """The spectral QFI from the (s, n) support bits, V (r eigenvectors as rows
+    over the s support states), the r weights, the profile f and gamma t.
+
+    H_ab = sum_I conj(V_aI) lambda_I V_bI, and the value is
 
         (gamma t)^2 [ sum_ab 2 (w_a - w_b)^2 / (w_a + w_b) |H_ab|^2
                       + 4 sum_a w_a || H|a> - sum_b H_ba |b> ||^2 ],
@@ -87,15 +100,10 @@ def _spectral_qfi(state: State, config: ChainConfig, params: PhysParams) -> floa
     far from x0 the large c-term is then exactly zero within one
     excitation sector instead of cancelling in floating point.
     """
-    n = config.n
-    if state.n_qubits != n:
-        raise LengthMismatch(f"state has {state.n_qubits} qubits but chain has {n}")
-    pairs = state.eigenpairs
-    excited, v = _joint_support([(vec.bits, vec.amps) for _, vec in pairs])
-    c = float(config.f_array.mean())
-    k = excited.sum(axis=1)
+    c = float(f.mean())
+    k = _excitations(excited)
     # einsum casts the boolean matrix in buffered chunks, never all at once
-    lam = np.einsum("ij,j->i", excited, config.f_array - c) + c * (k - k[0])
+    lam = np.einsum("ij,j->i", excited, f - c) + c * (k - k[0])
 
     hv = v * lam
     h = hv @ v.conj().T  # h[a, b] = <b|H_G|a>
@@ -104,7 +112,6 @@ def _spectral_qfi(state: State, config: ChainConfig, params: PhysParams) -> floa
     resid_norm2 = np.einsum("ij,ij->i", resid, resid).tolist()
     h2 = (h.real**2 + h.imag**2).tolist()
     # the O(r^2) pair sum in plain Python: small next to the O(r^2 s) products
-    weights = [w for w, _ in pairs]
     cutoff = EIGEN_GAP_EPS * max(weights)
     total = 0.0
     for a, wa in enumerate(weights):
@@ -113,7 +120,6 @@ def _spectral_qfi(state: State, config: ChainConfig, params: PhysParams) -> floa
         for b, wb in enumerate(weights):
             if wa + wb > cutoff:
                 total += 2.0 * (wa - wb) ** 2 / (wa + wb) * h2[a][b]
-    gt = params.gamma * params.t
     return gt * gt * total
 
 
@@ -167,8 +173,12 @@ def qfi_max_separable(config: ChainConfig, params: PhysParams) -> FisherReport:
     The optimum is |+>^n up to local z-rotations; no state is returned
     because the sparse form grows as 2^n while the value does not need it.
     """
-    value = _gt2(params) * float((config.f_array**2).sum())
-    return FisherReport(value, "closed-form:max-separable")
+    return FisherReport(_separable(_gt2(params), config.f_array), "closed-form:max-separable")
+
+
+def _separable(gt2: float, f: np.ndarray) -> float:
+    """(gamma t)^2 sum_i f_i^2 from gt2 = (gamma t)^2 and the profile f."""
+    return gt2 * float((f**2).sum())
 
 
 def _seq_sum(x: np.ndarray) -> float:
@@ -178,10 +188,9 @@ def _seq_sum(x: np.ndarray) -> float:
         return float(np.cumsum(x)[-1]) + 0.0 if len(x) else 0.0
 
 
-def _dfs_pair_sum(config: ChainConfig, k: int) -> float:
+def _dfs_pair_sum(f: np.ndarray, k: int) -> float:
     """sum_{i<l} (f_i - f_{N-1-i}) with l = min(k, N-k), in index order."""
-    ell = min(k, config.n - k)
-    f = config.f_array
+    ell = min(k, len(f) - k)
     with np.errstate(over="ignore", invalid="ignore"):
         return _seq_sum(f[:ell] - f[::-1][:ell])
 
@@ -191,8 +200,13 @@ def _dfs_report(config: ChainConfig, params: PhysParams, k: int,
     """qfi_dfs_subspace's report under the given path, without building its state."""
     if not 0 <= k <= config.n:
         raise OutOfRange(f"k must be in [0, {config.n}], got {k!r}")
-    pair_sum = _dfs_pair_sum(config, k)
-    return FisherReport(_gt2(params) * pair_sum * pair_sum, path)
+    return FisherReport(_dfs_value(_gt2(params), config.f_array, k), path)
+
+
+def _dfs_value(gt2: float, f: np.ndarray, k: int) -> float:
+    """(gamma t)^2 [sum_{i<l} (f_i - f_{N-1-i})]^2 with l = min(k, N-k)."""
+    pair_sum = _dfs_pair_sum(f, k)
+    return gt2 * pair_sum * pair_sum
 
 
 def qfi_dfs_subspace(
@@ -253,9 +267,12 @@ def qfi_product_steady(config: ChainConfig, params: PhysParams) -> FisherReport:
     the linear profile.
     """
     f = config.f_array
-    centered = f - f.mean()
-    value = _gt2(params) * float((centered**2).sum())
-    return FisherReport(value, "closed-form:product-steady")
+    return FisherReport(_steady(_gt2(params), f - f.mean()), "closed-form:product-steady")
+
+
+def _steady(gt2: float, centred: np.ndarray) -> float:
+    """(gamma t)^2 sum_i c_i^2 of the centred profile c = f - mean(f), summed by numpy."""
+    return gt2 * float((centred**2).sum())
 
 
 def qfi_dicke(config: ChainConfig, params: PhysParams, k: int) -> FisherReport:
@@ -273,5 +290,9 @@ def qfi_dicke(config: ChainConfig, params: PhysParams, k: int) -> FisherReport:
     if n == 1:
         # single qubit: both sectors are one-dimensional, no phase info
         return FisherReport(0.0, "closed-form:dicke")
-    value = _gt2(params) * 4.0 * k * (n - k) / (n * (n - 1)) * config.spread
-    return FisherReport(value, "closed-form:dicke")
+    return FisherReport(_dicke(_gt2(params), n, k, config.spread), "closed-form:dicke")
+
+
+def _dicke(gt2: float, n: int, k: int, spread: float) -> float:
+    """(gamma t)^2 4k(N-k) / (N(N-1)) times the spread sum_i (f_i - mean(f))^2, N >= 2."""
+    return gt2 * 4.0 * k * (n - k) / (n * (n - 1)) * spread

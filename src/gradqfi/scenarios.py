@@ -20,7 +20,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import ChainConfig, FieldProfile, LINEAR, PhysParams, make_chain, make_named_state
+from .core import (
+    LINEAR, ChainConfig, FieldProfile, PhysParams, _spread, make_chain, make_named_state,
+)
 from .errors import (
     DegenerateGeometry,
     NoNoise,
@@ -30,15 +32,9 @@ from .errors import (
 )
 from .noise import NoiseModel, coherence_factor
 from .qfi import (
-    FisherReport,
-    _dfs_pair_sum,
-    _dfs_report,
-    _seq_sum,
-    qfi_dicke,
-    qfi_max_entangled,
-    qfi_max_separable,
-    qfi_product_steady,
-    qfi_pure,
+    FisherReport, _dfs_pair_sum, _gt2, _dfs_report, _dfs_value, _dicke, _fisher_value, _separable,
+    _seq_sum, _spectral_core, _steady, qfi_max_entangled, qfi_max_separable,
+    qfi_product_steady, qfi_pure,
 )
 
 PLACEMENT_KINDS = ("equidistant", "all-at-end", "half-half", "tanh", "tan", "explicit")
@@ -49,6 +45,11 @@ OBJECTIVES = (
     "dfs-max",
     "product-steady",
 )
+
+
+def _check_length(length: float) -> None:
+    if not (math.isfinite(length) and length > 0):
+        raise OutOfRange(f"length must be > 0, got {length!r}")
 
 
 @dataclass(frozen=True)
@@ -75,8 +76,7 @@ class PlacementSpec:
             raise OutOfRange(f"n must be >= 1, got {self.n!r}")
         if not math.isfinite(self.x_start):
             raise OutOfRange(f"x_start must be finite, got {self.x_start!r}")
-        if not (math.isfinite(self.length) and self.length > 0):
-            raise OutOfRange(f"length must be > 0, got {self.length!r}")
+        _check_length(self.length)
         if self.kind == "explicit":
             if self.positions is None:
                 raise OutOfRange("explicit placement requires positions")
@@ -113,7 +113,7 @@ def generate_placement(
         if n < 2:
             raise OutOfRange(f"equidistant placement needs n >= 2, got {n}")
         with np.errstate(over="ignore", invalid="ignore"):  # inf silently, as float arithmetic
-            pos = a + length * (np.arange(n) / (n - 1))
+            pos = _equidistant(a, length, n)
     elif spec.kind == "all-at-end":
         pos = [a + length] * n
     elif spec.kind == "half-half":
@@ -137,6 +137,11 @@ def generate_placement(
     return make_chain(pos, ref, profile)
 
 
+def _equidistant(a: float, length: float, n: int) -> np.ndarray:
+    """x_i = a + (i-1) L/(n-1), i = 1..n >= 2, as a float64 vector."""
+    return a + length * (np.arange(n) / (n - 1))
+
+
 # ----------------------------------------------------------------------
 # time budgets under collective dephasing
 # ----------------------------------------------------------------------
@@ -154,7 +159,7 @@ def critical_time(config: ChainConfig, params: PhysParams) -> float:
     if rate == 0.0:
         raise NoNoise("gamma_prime * delta_e must be > 0 for a crossover time")
     full_sum = _seq_sum(config.f_array)
-    pair_sum = _dfs_pair_sum(config, config.n // 2)
+    pair_sum = _dfs_pair_sum(config.f_array, config.n // 2)
     if full_sum == 0.0 or pair_sum == 0.0:
         raise DegenerateGeometry("crossover needs nonzero profile sum and nonzero pair sum")
     ratio = (full_sum * full_sum) / (pair_sum * pair_sum)
@@ -264,8 +269,7 @@ def brute_force_placement_search(
         raise SearchSpaceTooLarge(f"search needs 1 <= n <= 8, got {n}")
     if not 2 <= grid_points <= 11:
         raise SearchSpaceTooLarge(f"search needs 2 <= grid_points <= 11, got {grid_points}")
-    if not (math.isfinite(length) and length > 0):
-        raise OutOfRange(f"length must be > 0, got {length!r}")
+    _check_length(length)
     if params is None:
         params = PhysParams()
 
@@ -419,6 +423,10 @@ def sweep_fig5(
     with the offset field known.  case "no-knowledge" (fig5b): the
     decoherence-free families: balanced two-branch (~N^2), half-filled
     Dicke (~N), W (constant, -> (gamma t L)^2/3), steady product (~N).
+
+    Each n builds only the equidistant profile f (x0 = 0); GHZ goes through
+    the spectral evaluator's array core and the rest through the closed
+    forms' helpers, so every value is bit for bit the public function's.
     """
     aliases = {
         "full-knowledge": "a", "fig5a": "a", "a": "a",
@@ -433,19 +441,25 @@ def sweep_fig5(
     if ns[0] < 2:
         raise OutOfRange(f"n_range values must be >= 2, got {ns[0]}")
     params = PhysParams(gamma=gamma_t, t=1.0)
+    _check_length(length)
+    gt, gt2 = params.gamma * params.t, _gt2(params)
+    ghz_amps = np.full((1, 2), 1.0 / math.sqrt(2.0), dtype=np.complex128)  # V of the GHZ
     rows = []
-    for n in ns:
-        config = generate_placement(PlacementSpec("equidistant", n, 0.0, length))
-        if tag == "a":
-            ghz = qfi_pure(make_named_state("ghz", n), config, params).value
-            product = qfi_max_separable(config, params).value
-            rows.append((float(n), ghz, product))
-        else:
-            odf = _dfs_report(config, params, config.n // 2).value
-            dicke = qfi_dicke(config, params, n // 2).value
-            w = qfi_dicke(config, params, 1).value
-            steady = qfi_product_steady(config, params).value
-            rows.append((float(n), odf, dicke, w, steady))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf/nan silently, as float arithmetic
+        for n in ns:
+            f = _equidistant(0.0, length, n)
+            if tag == "a":
+                ghz_bits = np.zeros((2, n), dtype=bool)  # |0..0> and |1..1>
+                ghz_bits[1] = True
+                ghz = _fisher_value(_spectral_core(ghz_bits, ghz_amps, [1.0], f, gt))
+                rows.append((float(n), ghz, _fisher_value(_separable(gt2, f))))
+            else:
+                odf = _fisher_value(_dfs_value(gt2, f, n // 2))
+                centred = f - f.mean()
+                spread = _spread(centred)
+                dicke = _fisher_value(_dicke(gt2, n, n // 2, spread))
+                w = _fisher_value(_dicke(gt2, n, 1, spread))
+                rows.append((float(n), odf, dicke, w, _fisher_value(_steady(gt2, centred))))
     columns = ("n", "ghz", "product") if tag == "a" else (
         "n", "odf-half", "dicke-half", "w", "steady-product"
     )
@@ -498,8 +512,7 @@ def table1(n: int = 4, length: float = 3.0, gamma_t: float = 1.0) -> TableOne:
     """
     if n < 2 or n % 2 != 0:
         raise OutOfRange(f"table needs even n >= 2, got {n}")
-    if not (math.isfinite(length) and length > 0):
-        raise OutOfRange(f"length must be > 0, got {length!r}")
+    _check_length(length)
     if not (math.isfinite(gamma_t) and gamma_t > 0):
         raise OutOfRange(f"gamma_t must be > 0, got {gamma_t!r}")
     params = PhysParams(gamma=gamma_t, t=1.0)

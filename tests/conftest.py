@@ -194,6 +194,69 @@ def reference_named_state(name, n, k=None, m=None, theta=0.0):
     return tuple(sorted((bits, complex(amp)) for bits, amp in terms))
 
 
+def reference_sweep_fig5(ns, length, case, gamma_t):
+    """fig5 rows (or the exception) by the public per-n path, one chain each.
+
+    For each n: generate_placement of the equidistant chain, then qfi_pure
+    of the GHZ state and qfi_max_separable (case "a"), or qfi_dfs_max,
+    qfi_dicke at k = n/2 and k = 1 and qfi_product_steady (case "b"),
+    validated in the same order as the sweep.
+    """
+    ns = sorted(set(int(n) for n in ns))
+    if not ns:
+        raise gradqfi.OutOfRange("n_range must contain at least one qubit count")
+    if ns[0] < 2:
+        raise gradqfi.OutOfRange(f"n_range values must be >= 2, got {ns[0]}")
+    params = PhysParams(gamma=gamma_t, t=1.0)
+    rows = []
+    for n in ns:
+        config = gradqfi.generate_placement(gradqfi.PlacementSpec("equidistant", n, 0.0, length))
+        if case == "a":
+            ghz = gradqfi.qfi_pure(gradqfi.make_named_state("ghz", n), config, params).value
+            rows.append((float(n), ghz, gradqfi.qfi_max_separable(config, params).value))
+        else:
+            rows.append((
+                float(n),
+                gradqfi.qfi_dfs_max(config, params)[0].value,
+                gradqfi.qfi_dicke(config, params, n // 2).value,
+                gradqfi.qfi_dicke(config, params, 1).value,
+                gradqfi.qfi_product_steady(config, params).value,
+            ))
+    return rows
+
+
+def reference_char_function(seed, n_traj, t, model, gamma_prime, n_qubits, chunk=8192):
+    """noise._char_function with every Box-Muller normal drawn: trajectory i's
+    four uniforms become four normals by pairing columns (0, 1) and (2, 3), and
+    normals 0, 2 and 3 drive the exact Ornstein-Uhlenbeck step."""
+    tau = model.tau_c
+    sig2 = model.delta_e * model.delta_e
+    s = t / tau
+    em1, em2 = math.expm1(-s), math.expm1(-2.0 * s)
+    a = math.sqrt(-sig2 * em2)
+    b = sig2 * tau * em1 * em1 / a if a > 0.0 else 0.0
+    c = math.sqrt(max(sig2 * tau * tau * (2.0 * s + 4.0 * em1 - em2) - b * b, 0.0))
+    acc = np.zeros(n_qubits + 1, dtype=np.complex128)
+    for lo in range(0, n_traj, chunk):
+        hi = min(lo + chunk, n_traj)
+        bitgen = np.random.Philox(key=seed)
+        bitgen.advance(lo)
+        u = np.random.Generator(bitgen).random((hi - lo, 4), dtype=np.float64)
+        z = np.empty_like(u)
+        radius = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
+        angle = (2.0 * math.pi) * u[:, 1::2]
+        z[:, 0::2] = radius * np.cos(angle)
+        z[:, 1::2] = radius * np.sin(angle)
+        y = -tau * em1 * (model.delta_e * z[:, 0]) + b * z[:, 2] + c * z[:, 3]
+        base = np.exp(-1j * (gamma_prime * y))
+        cur = np.ones(hi - lo, dtype=np.complex128)
+        for dk in range(n_qubits + 1):
+            acc[dk] += cur.sum()
+            if dk < n_qubits:
+                cur *= base
+    return acc / n_traj
+
+
 def random_chain(rng, n, spread=1.0):
     positions = rng.uniform(-spread, spread, size=n)
     x0 = float(rng.uniform(-0.5 * spread, 0.5 * spread))

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import cli_env
 from gradqfi import PhysParams, ValidationError, make_chain, measurement, qfi_dfs_subspace
+from gradqfi import cli
 from gradqfi.cli import _COMMANDS, _FLAGS, RunConfig, build_parser, emit_csv, main
 
 
@@ -433,6 +434,36 @@ def test_every_command_help_lists_every_flag(capsys):
         text = capsys.readouterr().out
         for flag in _FLAGS:
             assert re.search(rf"--{flag}[ \]\n]", text), (command, flag)
+        # main puts the flags on the invoked command alone, and prints the same help
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--help"])
+        assert stop.value.code == 0
+        assert capsys.readouterr().out == text, command
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    ([], 2),
+    (["bogus"], 2),
+    (["qfi", "--bogus"], 2),
+    (["qfi", "--n-tr", "5"], 0),  # an abbreviated flag
+    (["-1", "qfi"], 2),
+    (["reproduce", "--n-max", "5"], 2),
+])
+def test_main_reads_argv_as_the_full_parser_does(argv, code, capsys, monkeypatch):
+    def outcome():
+        try:
+            status = main(argv)
+        except SystemExit as stop:
+            status = stop.code
+        out = capsys.readouterr()
+        return status, out.out, out.err
+
+    per_command = outcome()
+    assert per_command[0] == code
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert outcome() == per_command
 
 
 @pytest.mark.parametrize("flag, limit", [

@@ -31,6 +31,7 @@ from gradqfi import (
 from conftest import (
     dense_rho,
     random_chain,
+    reference_char_function,
     random_mixture,
     random_params,
     random_sparse,
@@ -322,6 +323,14 @@ def test_mc_streams_are_chunk_layout_invariant(monkeypatch):
     monkeypatch.setattr(noise_module, "MC_CHUNK", 7)
     resliced = mc_coherence_magnitude(MODEL, 0.7, 3, ens)
     assert resliced == pytest.approx(reference, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_traj", [1, 8191, 8192, 8193, 20000])  # around the chunk edges
+def test_char_function_bytes_equal_the_four_normal_reference(n_traj):
+    for seed, t, weight in ((5, 0.01, 1), (6, 0.7, 4), (7, 2.5, 9), (8, 40.0, 2)):
+        got = noise_module._char_function(seed, n_traj, t, MODEL, MODEL.gamma_prime, weight)
+        want = reference_char_function(seed, n_traj, t, MODEL, MODEL.gamma_prime, weight)
+        assert got.tobytes() == want.tobytes(), (seed, t, weight)
 
 
 def test_mc_coherence_shortcuts_return_unity():

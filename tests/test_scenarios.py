@@ -37,6 +37,8 @@ from gradqfi import (
 )
 from gradqfi.qfi import _dfs_pair_sum
 
+from conftest import reference_sweep_fig5
+
 
 # ----------------------------------------------------------------------
 # placements
@@ -166,7 +168,7 @@ def test_pair_sums_equal_python_sum_bit_for_bit(seed):
     params = PhysParams(gamma_prime=float(rng.uniform(0.5, 2.0)), delta_e=1.0)
     f = chain.f_values
     for k in range(n + 1):  # k = 0 and k = n give ell = 0
-        assert _dfs_pair_sum(chain, k).hex() == _python_pair_sum(f, min(k, n - k)).hex()
+        assert _dfs_pair_sum(chain.f_array, k).hex() == _python_pair_sum(f, min(k, n - k)).hex()
     want = _python_critical_time(f, n * params.gamma_prime * params.delta_e)
     if want is None:
         with pytest.raises(DegenerateGeometry):
@@ -180,8 +182,8 @@ def test_pair_sums_of_negative_zeros_are_positive_zero():
     # sum turns into 0.0 (0 + -0.0) while np.cumsum keeps -0.0
     chain = make_chain([-0.0, 0.0], x0=0.0)
     assert chain.f_values[0].hex() == "-0x0.0p+0"
-    assert _dfs_pair_sum(chain, 1).hex() == _python_pair_sum(chain.f_values, 1).hex() == "0x0.0p+0"
-    assert _dfs_pair_sum(chain, 0).hex() == "0x0.0p+0"
+    assert _dfs_pair_sum(chain.f_array, 1).hex() == _python_pair_sum(chain.f_values, 1).hex() == "0x0.0p+0"
+    assert _dfs_pair_sum(chain.f_array, 0).hex() == "0x0.0p+0"
     with pytest.raises(DegenerateGeometry):
         critical_time(chain, PhysParams(delta_e=1.0))
 
@@ -191,7 +193,7 @@ def test_overflowing_sums_give_inf_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy overflow RuntimeWarning would fail here
         wide = make_chain([1e308, -1e308])
-        assert _dfs_pair_sum(wide, 1) == _python_pair_sum(wide.f_values, 1) == -math.inf
+        assert _dfs_pair_sum(wide.f_array, 1) == _python_pair_sum(wide.f_values, 1) == -math.inf
         far = make_chain([1e308, 1e308, 0.5e308])
         got, want = critical_time(far, params), _python_critical_time(far.f_values, 3.0)
         assert got.hex() == want.hex() == "nan"  # inf * inf / inf, as floats give
@@ -363,6 +365,47 @@ def test_fig5_sweep_columns_and_reference_values():
         sweep_fig5([1, 2, 3])
     with pytest.raises(OutOfRange):
         sweep_fig5([])
+
+
+def _hex_rows(rows):
+    return [tuple(v.hex() for v in row) for row in rows]
+
+
+@pytest.mark.parametrize("case", ["a", "b"])
+def test_fig5_sweep_rows_equal_the_per_chain_path_bit_for_bit(case):
+    for length in (1.0, 2.5, 1e-3):
+        for gamma_t in (1.0, 0.37):
+            want = reference_sweep_fig5(range(2, 301), length, case, gamma_t)
+            got = sweep_fig5(range(2, 301), length, case, gamma_t).rows
+            assert _hex_rows(got) == _hex_rows(want), (length, gamma_t)
+    ns = [1000, 2048, 4000]
+    want = reference_sweep_fig5(ns, 1.0, case, 1.0)
+    assert _hex_rows(sweep_fig5(ns, 1.0, case).rows) == _hex_rows(want)
+
+
+@pytest.mark.parametrize("case", ["a", "b"])
+@pytest.mark.parametrize("ns, length, gamma_t", [
+    (range(2, 5), 0.0, 1.0),
+    (range(2, 5), -1.0, 1.0),
+    (range(2, 5), math.nan, 1.0),
+    (range(2, 5), math.inf, 1.0),
+    (range(2, 5), 1.0, 0.0),
+    (range(2, 5), 1.0, -2.0),
+    (range(2, 5), 1.0, math.nan),
+    (range(2, 5), 0.0, 0.0),  # gamma_t is checked first
+    ([], 1.0, 1.0),
+    ([1, 2], 1.0, 1.0),
+    ([0, 3], -1.0, 0.0),  # n_range is checked first
+    (range(2, 9), 1e155, 1.0),  # overflow: NaN GHZ value, or fsum overflow in the spread
+])
+def test_fig5_sweep_rejects_what_the_per_chain_path_rejects(case, ns, length, gamma_t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the per-chain path warns on overflow
+        with pytest.raises(Exception) as want:
+            reference_sweep_fig5(ns, length, case, gamma_t)
+    with pytest.raises(Exception) as got:
+        sweep_fig5(ns, length, case, gamma_t)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
 def test_fig5b_sweep_to_four_thousand_qubits_runs_in_under_three_seconds():
