@@ -35,6 +35,7 @@ from .errors import (
     NoNoise,
     NonFiniteCoordinate,
     NonNormalizedState,
+    NumericOverflow,
     OutOfRange,
     OutputError,
     SearchSpaceTooLarge,
@@ -105,7 +106,7 @@ __all__ = [
     "InvalidProfile", "NonNormalizedState", "SupportTooLarge",
     "DimensionTooLarge", "NegativeTime", "ZeroTrajectories",
     "SearchSpaceTooLarge", "FlatResponse", "DegenerateGeometry", "NoNoise",
-    "SpectrumNotPositive", "SelfCheckFailed", "OutputError",
+    "SpectrumNotPositive", "NumericOverflow", "SelfCheckFailed", "OutputError",
     # qfi
     "FisherReport", "qfi_general", "qfi_pure", "qfi_max_entangled",
     "qfi_max_separable", "qfi_dfs_subspace", "qfi_dfs_max", "qfi_noisy_ghz",

@@ -12,14 +12,14 @@ long as f(0) = 0).  Qubits are labeled in ascending order of their
 profile value f(x_i - x0); the leftmost character of a basis bitstring
 belongs to qubit 1 (the smallest f).  sigma_z |0> = +|0>.
 
-A pure state is a bool matrix with one row per basis bitstring (column i
-is qubit i + 1) and a complex amplitude vector; every layer reads those
-arrays, and only SparseState.from_terms and SparseState.terms spell the
-rows as '0'/'1' strings; the named states are built as whole arrays, the
-Dicke rows by block copies.  The gradient reaches a state only through the
-phase each row picks up; _evolution_terms computes that phase and the
-eigenvalue lambda_I of H_G once, for evolve, the measurement readouts and
-the Monte Carlo trajectories alike, in one pass over each qubit's row.
+A state is an ascending bool matrix with a row per basis bitstring (column
+i is qubit i + 1), a complex matrix whose row a is eigenvector a over those
+rows (zero where it has none) and the eigen-weights; a pure state is the
+rank-1 case, amps[None, :] with weight 1.  Only SparseState.from_terms and
+.terms spell rows as '0'/'1' strings.  The gradient reaches a state only
+through the phase each row picks up; _evolution_terms computes that phase
+and lambda_I of H_G once per state, for evolve, the readouts and the Monte
+Carlo trajectories alike, in one pass over each qubit's row.
 
 Everything here is immutable and side-effect free, so all operations
 are safe to call concurrently.
@@ -42,6 +42,7 @@ from .errors import (
     NegativeTime,
     NonFiniteCoordinate,
     NonNormalizedState,
+    NumericOverflow,
     OutOfRange,
     SpectrumNotPositive,
     SupportTooLarge,
@@ -156,7 +157,10 @@ class ChainConfig:
 
 def _spread(centred: np.ndarray) -> float:
     """sum_i c_i^2 of the centred profile c = f - mean f by math.fsum, via a memoryview."""
-    return math.fsum(memoryview(centred * centred))
+    try:
+        return math.fsum(memoryview(centred * centred))
+    except OverflowError:
+        raise NumericOverflow(f"profile spread overflows float64 at n = {len(centred)}") from None
 
 
 def make_chain(
@@ -228,10 +232,10 @@ def _excitations(bits: np.ndarray) -> np.ndarray:
     return np.einsum("ij->i", bits, dtype=np.int32)
 
 
-def _cmul(a: np.ndarray, re, im) -> np.ndarray:
-    """a * complex(re, im) elementwise, rounded as CPython's complex product is
-    (numpy's complex multiply may round the last digit differently)."""
-    out = np.empty_like(a)
+def _cmul(a: np.ndarray, re, im, out: np.ndarray | None = None) -> np.ndarray:
+    """a * complex(re, im) elementwise (into out if given), rounded as CPython's complex
+    product is (numpy's complex multiply may round the last digit differently)."""
+    out = np.empty_like(a) if out is None else out
     out.real = a.real * re - a.imag * im
     out.imag = a.real * im + a.imag * re
     return out
@@ -312,81 +316,94 @@ class SparseState:
     def support_size(self) -> int:
         return len(self.amps)
 
+    weights = (1.0,)  # the state as SpectralState's rank-1 case
+
+    @property
+    def vectors(self) -> np.ndarray:
+        return self.amps[None, :]
+
     @property
     def eigenpairs(self) -> tuple[tuple[float, "SparseState"], ...]:
         """The state as a one-term spectral decomposition, like SpectralState's."""
         return ((1.0, self),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class SpectralState:
     """Mixed state in spectral form: weights plus orthonormal eigenvectors.
 
-    Weights are non-negative and sum to 1 within 1e-12; eigenvectors are
-    mutually orthogonal within 1e-10.
+    bits holds the ascending rows of the joint support and vectors the
+    read-only (rank, rows) matrix of eigenvectors over them (0 where one has
+    no entry).  The constructor checks that the weights are >= 0 and sum to
+    1 within 1e-12 and the eigenvectors are orthogonal within 1e-10; _built,
+    for the library's own states, checks nothing.
     """
 
     n_qubits: int
-    eigenpairs: tuple[tuple[float, SparseState], ...]
+    bits: np.ndarray
+    vectors: np.ndarray
+    weights: tuple[float, ...]
 
-    def __post_init__(self):
-        pairs = tuple((float(w), v) for w, v in self.eigenpairs)
+    def __init__(self, n_qubits: int, eigenpairs: Iterable[tuple[float, SparseState]]):
+        pairs = tuple((float(w), v) for w, v in eigenpairs)
         if not pairs:
             raise NonNormalizedState("spectral state needs at least one eigenpair")
         total = 0.0
         for w, vec in pairs:
             if not math.isfinite(w) or w < 0:
                 raise NonNormalizedState(f"eigenvalue weight {w!r} must be finite and >= 0")
-            if vec.n_qubits != self.n_qubits:
-                raise LengthMismatch(
-                    f"eigenvector has {vec.n_qubits} qubits, expected {self.n_qubits}"
-                )
+            if vec.n_qubits != n_qubits:
+                raise LengthMismatch(f"eigenvector has {vec.n_qubits} qubits, expected {n_qubits}")
             total += w
         if abs(total - 1.0) > NORM_TOL:
             raise NonNormalizedState(f"weights sum to {total!r}, expected 1 within {NORM_TOL:g}")
-        if len(pairs) > 1:
-            _, v = _joint_support([(vec.bits, vec.amps) for _, vec in pairs], shared=True)
-            gram = v.conj() @ v.T
-            np.fill_diagonal(gram, 0.0)
-            worst = float(np.abs(gram).max())
-            if worst >= ORTHO_TOL:
-                raise NonNormalizedState(
-                    f"eigenvectors are not orthogonal within {ORTHO_TOL:g} "
-                    f"(worst overlap {worst:.3e})"
-                )
-        object.__setattr__(self, "eigenpairs", pairs)
+        bits, vectors = _joint_support([(vec.bits, vec.amps) for _, vec in pairs])
+        gram = vectors.conj() @ vectors.T
+        np.fill_diagonal(gram, 0.0)
+        worst = float(np.abs(gram).max())
+        if worst >= ORTHO_TOL:
+            raise NonNormalizedState(
+                f"eigenvectors are not orthogonal within {ORTHO_TOL:g} "
+                f"(worst overlap {worst:.3e})"
+            )
+        built = self._built(n_qubits, bits, vectors, tuple(w for w, _ in pairs))
+        self.__dict__.update(vars(built), eigenpairs=pairs)  # the pairs as given
+
+    @classmethod
+    def _built(cls, n_qubits: int, bits: np.ndarray, vectors: np.ndarray,
+               weights: tuple[float, ...]) -> "SpectralState":
+        """A state the library built: ascending bits, orthonormal rows, unit weight sum."""
+        bits.setflags(write=False)
+        vectors.setflags(write=False)
+        state = cls.__new__(cls)
+        state.__dict__.update(n_qubits=n_qubits, bits=bits, vectors=vectors, weights=weights)
+        return state
+
+    @cached_property
+    def eigenpairs(self) -> tuple[tuple[float, SparseState], ...]:
+        """(weight, SparseState) pairs: those given, or each built row's nonzero entries."""
+        return tuple((w, SparseState(self.n_qubits, self.bits[row != 0], row[row != 0]))
+                     for w, row in zip(self.weights, self.vectors))
 
     @property
     def rank(self) -> int:
-        return len(self.eigenpairs)
+        return len(self.weights)
 
 
 State = SparseState | SpectralState
 
 
 def _joint_support(
-    vectors: Sequence[tuple[np.ndarray, np.ndarray]], shared: bool = False
+    vectors: Sequence[tuple[np.ndarray, np.ndarray]]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Union support of (bits, amps) vectors, in order of first appearance, and
-    V[a, j], vector a's amplitude on support row j.  With shared, only rows that
-    several vectors touch are kept: the only ones an overlap can come from."""
-    if len(vectors) == 1 and not shared:
-        return vectors[0][0], vectors[0][1][None, :]
+    """Ascending union of the rows of (bits, amps) vectors, and V[a, j], vector a's
+    amplitude on union row j (0 where it has none)."""
     bits = np.concatenate([b for b, _ in vectors])
-    keys = _keys(bits)
-    support, first = np.unique(keys, return_index=True)
-    where = np.searchsorted(support, keys)  # each term's bitstring in sorted order
-    kept = np.argsort(first)  # the bitstrings in order of first appearance
-    if shared:
-        kept = kept[np.bincount(where)[kept] > 1]
-    column = np.full(len(support), -1)
-    column[kept] = np.arange(len(kept))
-    column = column[where]
-    on = column >= 0
+    _, first, where = np.unique(_keys(bits), return_index=True, return_inverse=True)
     row = np.repeat(np.arange(len(vectors)), [len(amps) for _, amps in vectors])
-    v = np.zeros((len(vectors), len(kept)), dtype=np.complex128)
-    v[row[on], column[on]] = np.concatenate([amps for _, amps in vectors])[on]
-    return bits[first[kept]], v
+    v = np.zeros((len(vectors), len(first)), dtype=np.complex128)
+    v[row, where] = np.concatenate([amps for _, amps in vectors])
+    return bits[first], v
 
 
 # ----------------------------------------------------------------------
@@ -430,16 +447,18 @@ def evolve(state: State, config: ChainConfig, params: PhysParams) -> State:
     """Apply the exact diagonal evolution exp(-i t H / hbar).
 
     Each amplitude on bitstring I picks up exp(-i phase(I)) with
-    phase(I) = gamma*B0*t*(N/2 - k(I)) + gamma*G*t*lambda_I, evaluated by
-    _evolution_terms.  Norm is preserved exactly; spectral states evolve
-    eigenvector-wise.
+    phase(I) = gamma*B0*t*(N/2 - k(I)) + gamma*G*t*lambda_I, from one
+    _evolution_terms pass; eigenvector rows are phased one at a time, and
+    norms and weights are kept exactly.
     """
-    if isinstance(state, SpectralState):
-        pairs = tuple((w, evolve(v, config, params)) for w, v in state.eigenpairs)
-        return SpectralState(state.n_qubits, pairs)
     phase, _ = _evolution_terms(state.bits, config, params)
-    amps = _cmul(state.amps, np.cos(phase), -np.sin(phase))
-    return SparseState(state.n_qubits, state.bits, amps)
+    re, im = np.cos(phase), -np.sin(phase)
+    if isinstance(state, SparseState):
+        return SparseState(state.n_qubits, state.bits, _cmul(state.amps, re, im))
+    vectors = np.empty_like(state.vectors)
+    for row, out in zip(state.vectors, vectors):
+        _cmul(row, re, im, out)
+    return SpectralState._built(state.n_qubits, state.bits, vectors, state.weights)
 
 
 # ----------------------------------------------------------------------
@@ -561,17 +580,21 @@ def _kept_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[keep], u[:, keep]
 
 
-def _unit_state(n_qubits: int, bits: np.ndarray, col: np.ndarray) -> SparseState:
-    """The amplitudes col over the ascending rows bits, with entries at or
-    below _AMP_DROP dropped and the rest renormalized to a unit vector."""
-    mask = np.abs(col) > _AMP_DROP
-    col = col[mask]
-    return SparseState(n_qubits, bits[mask], col / math.sqrt(float(np.vdot(col, col).real)))
-
-
-def _normalized(n_qubits: int, pairs: list[tuple[float, SparseState]]) -> SpectralState:
-    total = math.fsum(w for w, _ in pairs)
-    return SpectralState(n_qubits, tuple((w / total, vec) for w, vec in pairs))
+def _spectral_rows(n_qubits: int, bits: np.ndarray, weights: Sequence[float],
+                   rows: Iterable[tuple[np.ndarray, np.ndarray]]) -> SpectralState:
+    """The state whose eigenvectors come one at a time from rows as (columns, entries) over
+    the ascending bits: each drops its entries at or below _AMP_DROP and is renormalized,
+    the weights are divided by their fsum, and bits no eigenvector keeps are left out."""
+    vectors = np.zeros((len(weights), len(bits)), dtype=np.complex128)
+    for out, (cols, row) in zip(vectors, rows):
+        keep = np.abs(row) > _AMP_DROP
+        kept = row[keep]
+        out[cols[keep]] = kept / math.sqrt(float(np.vdot(kept, kept).real))
+    used = (vectors != 0).any(axis=0)
+    if not used.all():
+        bits, vectors = bits[used], vectors[:, used]
+    total = math.fsum(weights)
+    return SpectralState._built(n_qubits, bits, vectors, tuple(w / total for w in weights))
 
 
 def _sector_spectral(
@@ -584,8 +607,8 @@ def _sector_spectral(
     sector whose amplitudes are all 0 is left out); decay[dk] multiplies
     the coherence between sectors dk apart and is conjugated for l < k.
     The r x r matrix M_kl = decay[l - k] sqrt(p_k p_l) is diagonalized and
-    each eigenvector sum_k U_kc e_k is spread back over the rows, so the
-    result has rank at most r <= n + 1 and costs O(r s) on s rows.
+    each eigenvector sum_k U_kc e_k is spread back over the rows, one at a
+    time, so the result has rank at most r <= n + 1 and costs O(r s).
     """
     k = _excitations(bits)
     mass = np.bincount(k, weights=amps.real**2 + amps.imag**2, minlength=n_qubits + 1)
@@ -597,9 +620,8 @@ def _sector_spectral(
     scale = np.zeros(n_qubits + 1)
     scale[occupied] = 1.0 / root
     unit = amps * scale[k]  # each row's entry of its sector's e_k
-    sector = np.zeros(n_qubits + 1, dtype=np.intp)
-    sector[occupied] = np.arange(len(occupied))
-    sector = sector[k]
+    sector = (np.cumsum(mass > 0) - 1)[k]  # its index among the occupied sectors
     w, u = _kept_spectrum(m)
-    vectors = (_unit_state(n_qubits, bits, u[sector, c] * unit) for c in range(len(w)))
-    return _normalized(n_qubits, list(zip(w.tolist(), vectors)))
+    everywhere = np.arange(len(bits))
+    rows = ((everywhere, u[sector, c] * unit) for c in range(len(w)))
+    return _spectral_rows(n_qubits, bits, w.tolist(), rows)

@@ -85,6 +85,10 @@ class SpectrumNotPositive(ComputationError):
     """A density matrix came out with a meaningfully negative eigenvalue."""
 
 
+class NumericOverflow(ComputationError):
+    """A result overflows float64 for these inputs (the message names n and the quantity)."""
+
+
 class SelfCheckFailed(ComputationError):
     """An internal cross-check of a result against its closed form failed."""
 

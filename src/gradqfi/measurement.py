@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ChainConfig, PhysParams, State, _cmul, _evolution_terms, _keys, _product_bits
-from .errors import DimensionTooLarge, FlatResponse, LengthMismatch, OutOfRange, SelfCheckFailed
+from .errors import DimensionTooLarge, FlatResponse, OutOfRange, SelfCheckFailed
 from .qfi import FisherReport, _seq_sum
 
 _P_FLOOR = 1e-15
@@ -111,11 +111,12 @@ def _parity_value_and_gradient(
     phases gives the exact gradient term -2i gamma t lambda_I per pair.
     """
     gt = params.gamma * params.t
+    phase, lam = _evolution_terms(state.bits, config, params)
+    paired, at = _complement_rows(state.bits)
     value = grad = 0.0
-    for weight, vec in state.eigenpairs:
-        phase, lam = _evolution_terms(vec.bits, config, params)
-        amps = _cmul(vec.amps, np.cos(phase), -np.sin(phase))
-        paired, at = _complement_rows(vec.bits)
+    # an eigenvector's zero entries add exact zeros to its in-order sums
+    for weight, row in zip(state.weights, state.vectors):
+        amps = _cmul(row, np.cos(phase), -np.sin(phase))
         partner, amps = amps[at], amps[paired]
         term = _cmul(amps, partner.real, -partner.imag)
         # the real part of _cmul(term, 0.0, -2 gt lambda), rounded as _cmul rounds it
@@ -165,32 +166,23 @@ def classical_fisher(dist: OutcomeDistribution) -> FisherReport:
     divergent flag set (the Cramer-Rao variance bound collapses to 0).
     """
     total = 0.0
-    divergent = False
     for _, p, dp in dist.outcomes:
-        if p < _P_FLOOR:
-            if abs(dp) >= _DP_FLOOR:
-                divergent = True
-            continue
-        total += dp * dp / p
-    if divergent:
-        return FisherReport(math.inf, "closed-form:cfi", divergent=True)
+        if not p < _P_FLOOR:
+            total += dp * dp / p
+        elif abs(dp) >= _DP_FLOOR:
+            return FisherReport(math.inf, "closed-form:cfi", divergent=True)
     return FisherReport(total, "closed-form:cfi")
 
 
 def _walsh_hadamard(vec: np.ndarray) -> np.ndarray:
-    """Orthonormal Hadamard transform H^(x)n applied to a dense 2^n vector."""
-    out = vec.copy()
-    dim = out.shape[0]
-    h = 1
-    while h < dim:
-        out = out.reshape(-1, 2 * h)
-        left = out[:, :h].copy()
-        right = out[:, h:]
-        out[:, :h] = left + right
-        out[:, h:] = left - right
-        out = out.reshape(dim)
+    """Orthonormal Hadamard transform H^(x)n applied to a dense 2^n vector: butterflies on
+    index pairs (i, i + h) for h = 1, 2, 4, ..., then one division by sqrt(2^n)."""
+    out, h = vec, 1
+    while h < len(vec):
+        pair = out.reshape(-1, 2, h)
+        out = np.stack((pair[:, 0] + pair[:, 1], pair[:, 0] - pair[:, 1]), axis=1)
         h *= 2
-    return out / math.sqrt(dim)
+    return out.reshape(-1) / math.sqrt(len(vec))
 
 
 def _basis_excitations(n_qubits: int) -> np.ndarray:
@@ -209,26 +201,26 @@ def jx_distribution(
 
     Transforms the evolved dense vector(s) into the x basis with a
     Walsh-Hadamard transform and groups probability (and its analytic dG
-    derivative) by the number of |-> factors.  Needs n <= the dense cap.
+    derivative) by the number of |-> factors.  Needs n <= the dense cap;
+    _evolution_terms checks that the state fits the chain.
     """
     n = state.n_qubits
-    if n != config.n:
-        raise LengthMismatch(f"state has {n} qubits but chain has {config.n}")
     gt = params.gamma * params.t
     counts = _basis_excitations(n)
     probs = np.zeros(n + 1, dtype=np.float64)
     derivs = np.zeros(n + 1, dtype=np.float64)
     place = 1 << np.arange(n - 1, -1, -1)  # qubit 1 is the most significant bit
-    for weight, vec in state.eigenpairs:
-        phase, lam = _evolution_terms(vec.bits, config, params)
-        amps = _cmul(vec.amps, np.cos(phase), -np.sin(phase))
-        idx = vec.bits @ place
+    phase, lam = _evolution_terms(state.bits, config, params)
+    index = state.bits @ place
+    for weight, row in zip(state.weights, state.vectors):
+        nz = np.flatnonzero(row)  # only the eigenvector's own entries are scattered
+        amps = _cmul(row[nz], np.cos(phase[nz]), -np.sin(phase[nz]))
         dense, ddense = np.zeros((2, 1 << n), dtype=np.complex128)
-        dense[idx] = amps
+        dense[index[nz]] = amps
         # a constant in lambda drops out of every dp exactly, so measure it
         # from the first row: far from x0 the c (n/2 - k) term then cancels
         # here, within a sector, instead of in the sum over outcomes
-        ddense[idx] = _cmul(amps, 0.0, -gt * (lam - lam[0]))
+        ddense[index[nz]] = _cmul(amps, 0.0, -gt * (lam[nz] - lam[nz[0]]))
         x_amp = _walsh_hadamard(dense)
         x_damp = _walsh_hadamard(ddense)
         p = x_amp.real**2 + x_amp.imag**2

@@ -10,8 +10,9 @@ depends only on the excitation difference |k(I) - k(J)|.
 
 So the channel, the twirl and the Monte Carlo average build their output
 on excitation sectors: for a pure input only an r x r matrix, one row per
-occupied sector, is diagonalized (core._sector_spectral), so the output
-has rank r <= n + 1 and costs O(r s) on s basis states.
+occupied sector, is diagonalized (core._sector_spectral), and its r
+eigenvectors become, one at a time, the dense rows of an r x s matrix over
+the input's s rows: rank r <= n + 1 at a cost of O(r s).
 
 Monte Carlo here is an oracle for the analytic channel: each trajectory
 takes one exact joint-Gaussian step of (dE, integral dE) from a stationary
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ChainConfig, PhysParams, SparseState, SpectralState, State, _excitations, _joint_support,
-    _kept_spectrum, _keys, _normalized, _sector_spectral, _unit_state, evolve,
+    ChainConfig, PhysParams, SparseState, SpectralState, State, _excitations, _kept_spectrum,
+    _sector_spectral, _spectral_rows, evolve,
 )
 from .errors import NegativeTime, OutOfRange, ZeroTrajectories
 
@@ -138,9 +139,7 @@ def apply_channel(state: SparseState, model: NoiseModel, t: float) -> SpectralSt
     """
     if not isinstance(state, SparseState):
         raise OutOfRange("apply_channel takes a pure SparseState input")
-    if t < 0 or math.isnan(t):
-        raise NegativeTime(f"t must be >= 0, got {t!r}")
-    decay = [coherence_factor(model, t, dk) for dk in range(state.n_qubits + 1)]
+    decay = [coherence_factor(model, t, dk) for dk in range(state.n_qubits + 1)]  # checks t
     return _sector_spectral(state.n_qubits, state.bits, state.amps, decay)
 
 
@@ -151,33 +150,28 @@ def steady_twirl(state: State) -> SpectralState:
     commutes with J_z exactly (each eigenvector lives in one sector), and
     its rank is at most the number of occupied sectors times the input's
     rank.  A pure input keeps one vector per sector.  For a mixture, the
-    parts a_j of the eigenvectors in one sector are the columns of A = QR
-    (thin QR), so the sector block A W A^dagger is R W R^dagger over the
-    orthonormal columns of Q, and only that small matrix is diagonalized.
-    Idempotent: twirling a twirled state returns it unchanged.
+    sector columns of the eigenvector rows that touch the sector are the
+    columns of A = QR (thin QR), so the sector block A W A^dagger is
+    R W R^dagger over the orthonormal columns of Q, and only that small
+    matrix is diagonalized.  Idempotent: twirling a twirled state returns
+    it unchanged.
     """
     n = state.n_qubits
-    if len(state.eigenpairs) == 1:
-        vec = state.eigenpairs[0][1]
-        return _sector_spectral(n, vec.bits, vec.amps, [1.0] + [0.0] * n)
-    # sector -> list of (outer weight, bits, amplitudes) of each eigenvector's part in it
-    sectors: dict[int, list[tuple[float, np.ndarray, np.ndarray]]] = {}
-    for weight, vec in state.eigenpairs:
-        k = _excitations(vec.bits)
-        for sector in np.flatnonzero(np.bincount(k)).tolist():
-            rows = k == sector
-            sectors.setdefault(sector, []).append((weight, vec.bits[rows], vec.amps[rows]))
-
-    out: list[tuple[float, SparseState]] = []
-    for sector in sorted(sectors):
-        comps = sectors[sector]
-        bits, v = _joint_support([(bits, amps) for _, bits, amps in comps])
-        order = np.argsort(_keys(bits))  # the rows in ascending bitstring order
-        q, r = np.linalg.qr(v[:, order].T)
-        weights = np.array([weight for weight, _, _ in comps])
-        w, u = _kept_spectrum((r * weights) @ r.conj().T)
-        out += zip(w.tolist(), (_unit_state(n, bits[order], q @ u[:, c]) for c in range(len(w))))
-    return _normalized(n, out)
+    if len(state.weights) == 1:
+        return _sector_spectral(n, state.bits, state.vectors[0], [1.0] + [0.0] * n)
+    k = _excitations(state.bits)
+    blocks, kept = [], []  # per occupied sector: its columns, Q and the kept eigenvectors
+    for sector in np.flatnonzero(np.bincount(k)).tolist():
+        cols = np.flatnonzero(k == sector)
+        part = state.vectors[:, cols]
+        present = (part != 0).any(axis=1)  # the eigenvectors that reach the sector
+        if present.any():
+            q, r = np.linalg.qr(part[present].T)
+            w, u = _kept_spectrum((r * np.array(state.weights)[present]) @ r.conj().T)
+            blocks.append((cols, q, u))
+            kept += w.tolist()
+    rows = ((cols, q @ u[:, c]) for cols, q, u in blocks for c in range(u.shape[1]))
+    return _spectral_rows(n, state.bits, kept, rows)
 
 
 # ----------------------------------------------------------------------
@@ -280,11 +274,10 @@ def mc_trajectory_average(
         raise OutOfRange("mc_trajectory_average takes a pure SparseState input")
     n = state.n_qubits
     model = NoiseModel.from_params(params)
-    t = params.t
     evolved = evolve(state, config, params)
-    if t == 0.0 or model.delta_e == 0.0 or model.gamma_prime == 0.0:
+    if params.t == 0.0 or model.delta_e == 0.0 or model.gamma_prime == 0.0:
         # noise-free: the average is the evolved pure state itself
-        return SpectralState(n, ((1.0, evolved),))
-    char = _char_function(ens.seed, ens.n_traj, t, model, params.gamma_prime, n)
+        return SpectralState._built(n, evolved.bits, evolved.vectors, evolved.weights)
+    char = _char_function(ens.seed, ens.n_traj, params.t, model, params.gamma_prime, n)
     # element (I, J) picks up char[k_J - k_I], conjugated when k_J < k_I
     return _sector_spectral(n, evolved.bits, evolved.amps, char)

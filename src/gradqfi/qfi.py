@@ -6,9 +6,9 @@ the Cramer-Rao variance bound on an unbiased single-shot estimate.
 
 One spectral evaluator plus closed forms:
 
-* qfi_general: the spectral formula restricted to the joint support of
-  the state's eigenvectors, exact for any pure or mixed state, with no
-  cap on the qubit count (O(r^2 s) for rank r on s basis states).
+* qfi_general: the spectral formula on the state's own rows and
+  eigenvector matrix, exact for any pure or mixed state, with no cap on
+  the qubit count (O(r^2 s) for rank r on s basis states).
 * qfi_pure: its rank-1 case, 4 * variance of the generator.
 * closed forms for the standard probe families (GHZ, product, optimal
   decoherence-free states, Dicke, dephased GHZ, steady-state product),
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import noise as _noise
 from .core import (
-    ChainConfig, PhysParams, SparseState, State, _excitations, _joint_support, make_named_state,
+    ChainConfig, PhysParams, SparseState, State, _excitations, make_named_state,
 )
 from .errors import LengthMismatch, OutOfRange
 
@@ -53,11 +53,9 @@ class FisherReport:
 
     @property
     def crb_variance(self) -> float:
-        """Single-shot Cramer-Rao bound 1/value (inf when value is 0)."""
+        """Single-shot Cramer-Rao bound 1/value (inf when value is 0, 0 when it is inf)."""
         if self.value == 0.0:
             return math.inf
-        if math.isinf(self.value):
-            return 0.0
         return 1.0 / self.value
 
 
@@ -69,12 +67,10 @@ def _fisher_value(value: float) -> float:
 
 
 def _spectral_qfi(state: State, config: ChainConfig, params: PhysParams) -> float:
-    """QFI of rho = sum_a w_a |a><a| for H_G: _spectral_core on the joint support."""
+    """QFI of rho = sum_a w_a |a><a| for H_G: _spectral_core on the state's stored arrays."""
     if state.n_qubits != config.n:
         raise LengthMismatch(f"state has {state.n_qubits} qubits but chain has {config.n}")
-    pairs = state.eigenpairs
-    excited, v = _joint_support([(vec.bits, vec.amps) for _, vec in pairs])
-    return _spectral_core(excited, v, [w for w, _ in pairs], config.f_array,
+    return _spectral_core(state.bits, state.vectors, state.weights, config.f_array,
                           params.gamma * params.t)
 
 
@@ -96,14 +92,14 @@ def _spectral_core(excited: np.ndarray, v: np.ndarray, weights: list[float],
     H_G = (1/2) sum_i f_i - sum_i f_i n_i with n_i the excitation of qubit
     i, and the QFI ignores a constant and the sign of the generator, so
     lambda_I = sum_{i excited} (f_i - c) + c (k_I - k_0), with c = mean(f)
-    and k_0 the excitation count of the first support state.  On a chain
-    far from x0 the large c-term is then exactly zero within one
+    and k_0 the excitation count of the first eigenvector's first row.  On
+    a chain far from x0 the large c-term is then exactly zero within one
     excitation sector instead of cancelling in floating point.
     """
     c = float(f.mean())
     k = _excitations(excited)
     # einsum casts the boolean matrix in buffered chunks, never all at once
-    lam = np.einsum("ij,j->i", excited, f - c) + c * (k - k[0])
+    lam = np.einsum("ij,j->i", excited, f - c) + c * (k - k[np.argmax(v[0] != 0)])
 
     hv = v * lam
     h = hv @ v.conj().T  # h[a, b] = <b|H_G|a>
@@ -177,7 +173,8 @@ def qfi_max_separable(config: ChainConfig, params: PhysParams) -> FisherReport:
 
 
 def _separable(gt2: float, f: np.ndarray) -> float:
-    """(gamma t)^2 sum_i f_i^2 from gt2 = (gamma t)^2 and the profile f."""
+    """(gamma t)^2 sum_i f_i^2 from gt2 = (gamma t)^2 and a profile f (the centred one
+    for the steady product), summed by numpy."""
     return gt2 * float((f**2).sum())
 
 
@@ -189,10 +186,10 @@ def _seq_sum(x: np.ndarray) -> float:
 
 
 def _dfs_pair_sum(f: np.ndarray, k: int) -> float:
-    """sum_{i<l} (f_i - f_{N-1-i}) with l = min(k, N-k), in index order."""
+    """sum_{i<l} (f_i - f_{N-1-i}) with l = min(k, N-k), in index order as _seq_sum adds."""
     ell = min(k, len(f) - k)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _seq_sum(f[:ell] - f[::-1][:ell])
+    with np.errstate(over="ignore", invalid="ignore"):  # inf/nan silently, as float arithmetic
+        return float(np.cumsum(f[:ell] - f[::-1][:ell])[-1]) + 0.0 if ell else 0.0
 
 
 def _dfs_report(config: ChainConfig, params: PhysParams, k: int,
@@ -234,11 +231,7 @@ def qfi_noisy_ghz(config: ChainConfig, params: PhysParams) -> FisherReport:
     value = d(t)^2 (gamma t)^2 (sum_i f_i)^2 with the coherence factor
     d(t) of the full N-qubit coherence.
     """
-    model = _noise.NoiseModel.from_params(params)
-    d = _noise.coherence_factor(model, params.t, config.n)
-    f_sum = float(config.f_array.sum())
-    value = d * d * _gt2(params) * f_sum * f_sum
-    return FisherReport(value, "closed-form:noisy-ghz")
+    return _dephased(params, config.n, float(config.f_array.sum()), "closed-form:noisy-ghz")
 
 
 def qfi_noisy_psim(config: ChainConfig, params: PhysParams, m: int) -> FisherReport:
@@ -251,11 +244,14 @@ def qfi_noisy_psim(config: ChainConfig, params: PhysParams, m: int) -> FisherRep
     n = config.n
     if not 0 <= m <= n:
         raise OutOfRange(f"m must be in [0, {n}], got {m!r}")
-    model = _noise.NoiseModel.from_params(params)
-    d_m = _noise.coherence_factor(model, params.t, abs(n - 2 * m))
     f_abs_sum = float(np.abs(config.f_array).sum())
-    value = d_m * d_m * _gt2(params) * f_abs_sum * f_abs_sum
-    return FisherReport(value, "closed-form:noisy-psim")
+    return _dephased(params, abs(n - 2 * m), f_abs_sum, "closed-form:noisy-psim")
+
+
+def _dephased(params: PhysParams, weight: int, f_sum: float, path: str) -> FisherReport:
+    """d^2 (gamma t)^2 f_sum^2, d the coherence factor of a J_z weight at time params.t."""
+    d = _noise.coherence_factor(_noise.NoiseModel.from_params(params), params.t, weight)
+    return FisherReport(d * d * _gt2(params) * f_sum * f_sum, path)
 
 
 def qfi_product_steady(config: ChainConfig, params: PhysParams) -> FisherReport:
@@ -267,12 +263,7 @@ def qfi_product_steady(config: ChainConfig, params: PhysParams) -> FisherReport:
     the linear profile.
     """
     f = config.f_array
-    return FisherReport(_steady(_gt2(params), f - f.mean()), "closed-form:product-steady")
-
-
-def _steady(gt2: float, centred: np.ndarray) -> float:
-    """(gamma t)^2 sum_i c_i^2 of the centred profile c = f - mean(f), summed by numpy."""
-    return gt2 * float((centred**2).sum())
+    return FisherReport(_separable(_gt2(params), f - f.mean()), "closed-form:product-steady")
 
 
 def qfi_dicke(config: ChainConfig, params: PhysParams, k: int) -> FisherReport:

@@ -26,6 +26,7 @@ from .core import (
 from .errors import (
     DegenerateGeometry,
     NoNoise,
+    NumericOverflow,
     OutOfRange,
     SearchSpaceTooLarge,
     SelfCheckFailed,
@@ -33,7 +34,7 @@ from .errors import (
 from .noise import NoiseModel, coherence_factor
 from .qfi import (
     FisherReport, _dfs_pair_sum, _gt2, _dfs_report, _dfs_value, _dicke, _fisher_value, _separable,
-    _seq_sum, _spectral_core, _steady, qfi_max_entangled, qfi_max_separable,
+    _seq_sum, _spectral_core, qfi_max_entangled, qfi_max_separable,
     qfi_product_steady, qfi_pure,
 )
 
@@ -444,6 +445,9 @@ def sweep_fig5(
     _check_length(length)
     gt, gt2 = params.gamma * params.t, _gt2(params)
     ghz_amps = np.full((1, 2), 1.0 / math.sqrt(2.0), dtype=np.complex128)  # V of the GHZ
+    columns = ("n", "ghz", "product") if tag == "a" else (
+        "n", "odf-half", "dicke-half", "w", "steady-product"
+    )
     rows = []
     with np.errstate(over="ignore", invalid="ignore"):  # inf/nan silently, as float arithmetic
         for n in ns:
@@ -451,18 +455,16 @@ def sweep_fig5(
             if tag == "a":
                 ghz_bits = np.zeros((2, n), dtype=bool)  # |0..0> and |1..1>
                 ghz_bits[1] = True
-                ghz = _fisher_value(_spectral_core(ghz_bits, ghz_amps, [1.0], f, gt))
-                rows.append((float(n), ghz, _fisher_value(_separable(gt2, f))))
+                values = (_spectral_core(ghz_bits, ghz_amps, [1.0], f, gt), _separable(gt2, f))
             else:
-                odf = _fisher_value(_dfs_value(gt2, f, n // 2))
                 centred = f - f.mean()
                 spread = _spread(centred)
-                dicke = _fisher_value(_dicke(gt2, n, n // 2, spread))
-                w = _fisher_value(_dicke(gt2, n, 1, spread))
-                rows.append((float(n), odf, dicke, w, _fisher_value(_steady(gt2, centred))))
-    columns = ("n", "ghz", "product") if tag == "a" else (
-        "n", "odf-half", "dicke-half", "w", "steady-product"
-    )
+                values = (_dfs_value(gt2, f, n // 2), _dicke(gt2, n, n // 2, spread),
+                          _dicke(gt2, n, 1, spread), _separable(gt2, centred))
+            for name, value in zip(columns[1:], values):
+                if not math.isfinite(value):
+                    raise NumericOverflow(f"the {name} value overflows float64 at n = {n}")
+            rows.append((float(n), *map(_fisher_value, values)))
     meta = {"length": length, "gamma_t": gamma_t, "case": "a" if tag == "a" else "b"}
     return SweepResult("qubit_count", columns, tuple(rows), meta)
 

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, settings
 from scipy.linalg import expm
 
 import gradqfi
-from gradqfi import PhysParams, SparseState, SpectralState, make_chain
+from gradqfi import PhysParams, SparseState, SpectralState, core, make_chain, measurement, qfi
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -200,7 +200,9 @@ def reference_sweep_fig5(ns, length, case, gamma_t):
     For each n: generate_placement of the equidistant chain, then qfi_pure
     of the GHZ state and qfi_max_separable (case "a"), or qfi_dfs_max,
     qfi_dicke at k = n/2 and k = 1 and qfi_product_steady (case "b"),
-    validated in the same order as the sweep.
+    validated in the same order as the sweep: a value that is not finite
+    (a NaN one, which FisherReport itself refuses, included) raises
+    NumericOverflow naming its column and n.
     """
     ns = sorted(set(int(n) for n in ns))
     if not ns:
@@ -208,20 +210,36 @@ def reference_sweep_fig5(ns, length, case, gamma_t):
     if ns[0] < 2:
         raise gradqfi.OutOfRange(f"n_range values must be >= 2, got {ns[0]}")
     params = PhysParams(gamma=gamma_t, t=1.0)
+
+    def value(report):
+        try:
+            return report().value
+        except gradqfi.OutOfRange as exc:
+            if str(exc) != "Fisher information must be >= 0, got nan":
+                raise
+            return math.nan
+
     rows = []
     for n in ns:
         config = gradqfi.generate_placement(gradqfi.PlacementSpec("equidistant", n, 0.0, length))
         if case == "a":
-            ghz = gradqfi.qfi_pure(gradqfi.make_named_state("ghz", n), config, params).value
-            rows.append((float(n), ghz, gradqfi.qfi_max_separable(config, params).value))
+            names = ("ghz", "product")
+            values = (
+                value(lambda: gradqfi.qfi_pure(gradqfi.make_named_state("ghz", n), config, params)),
+                value(lambda: gradqfi.qfi_max_separable(config, params)),
+            )
         else:
-            rows.append((
-                float(n),
-                gradqfi.qfi_dfs_max(config, params)[0].value,
-                gradqfi.qfi_dicke(config, params, n // 2).value,
-                gradqfi.qfi_dicke(config, params, 1).value,
-                gradqfi.qfi_product_steady(config, params).value,
-            ))
+            names = ("odf-half", "dicke-half", "w", "steady-product")
+            values = (
+                value(lambda: gradqfi.qfi_dfs_max(config, params)[0]),
+                value(lambda: gradqfi.qfi_dicke(config, params, n // 2)),
+                value(lambda: gradqfi.qfi_dicke(config, params, 1)),
+                value(lambda: gradqfi.qfi_product_steady(config, params)),
+            )
+        for name, v in zip(names, values):
+            if not math.isfinite(v):
+                raise gradqfi.NumericOverflow(f"the {name} value overflows float64 at n = {n}")
+        rows.append((float(n), *values))
     return rows
 
 
@@ -255,6 +273,153 @@ def reference_char_function(seed, n_traj, t, model, gamma_prime, n_qubits, chunk
             if dk < n_qubits:
                 cur *= base
     return acc / n_traj
+
+
+# ----------------------------------------------------------------------
+# per-eigenvector oracles: a mixed state as a list of (weight, SparseState)
+# pairs, each eigenvector on its own rows, built, evolved and read out one
+# eigenvector at a time
+# ----------------------------------------------------------------------
+
+
+def reference_unit_state(n, bits, col):
+    """The amplitudes col over the ascending rows bits, with entries at or below
+    the drop threshold dropped and the rest renormalized to a unit vector."""
+    mask = np.abs(col) > core._AMP_DROP
+    col = col[mask]
+    return SparseState(n, bits[mask], col / math.sqrt(float(np.vdot(col, col).real)))
+
+
+def reference_normalized(pairs):
+    total = math.fsum(w for w, _ in pairs)
+    return [(w / total, vec) for w, vec in pairs]
+
+
+def reference_sector_pairs(n, bits, amps, decay):
+    """Eigenpairs of sum_kl decay[l - k] sqrt(p_k p_l) |e_k><e_l|, one SparseState each."""
+    k = core._excitations(bits)
+    mass = np.bincount(k, weights=amps.real**2 + amps.imag**2, minlength=n + 1)
+    occupied = np.flatnonzero(mass)
+    root = np.sqrt(mass[occupied])
+    gap = occupied[None, :] - occupied[:, None]
+    factor = np.asarray(decay)[np.abs(gap)]
+    m = np.where(gap >= 0, factor, np.conj(factor)) * np.outer(root, root)
+    scale = np.zeros(n + 1)
+    scale[occupied] = 1.0 / root
+    unit = amps * scale[k]
+    sector = np.zeros(n + 1, dtype=np.intp)
+    sector[occupied] = np.arange(len(occupied))
+    sector = sector[k]
+    w, u = core._kept_spectrum(m)
+    vectors = (reference_unit_state(n, bits, u[sector, c] * unit) for c in range(len(w)))
+    return reference_normalized(list(zip(w.tolist(), vectors)))
+
+
+def reference_channel_pairs(state, model, t):
+    decay = [gradqfi.coherence_factor(model, t, dk) for dk in range(state.n_qubits + 1)]
+    return reference_sector_pairs(state.n_qubits, state.bits, state.amps, decay)
+
+
+def reference_first_appearance_support(vectors):
+    """Union of the rows of (bits, amps) vectors in order of first appearance, and
+    V[a, j], vector a's amplitude on union row j."""
+    bits = np.concatenate([b for b, _ in vectors])
+    keys = core._keys(bits)
+    support, first = np.unique(keys, return_index=True)
+    where = np.searchsorted(support, keys)
+    kept = np.argsort(first)
+    column = np.empty(len(support), dtype=np.intp)
+    column[kept] = np.arange(len(kept))
+    row = np.repeat(np.arange(len(vectors)), [len(amps) for _, amps in vectors])
+    v = np.zeros((len(vectors), len(kept)), dtype=np.complex128)
+    v[row, column[where]] = np.concatenate([amps for _, amps in vectors])
+    return bits[first[kept]], v
+
+
+def reference_twirl_pairs(n, pairs):
+    """The sector projection of sum_a w_a |a><a|: each sector's parts of the
+    eigenvectors on their joint rows, re-sorted, thin QR, then R W R^dagger."""
+    if len(pairs) == 1:
+        vec = pairs[0][1]
+        return reference_sector_pairs(n, vec.bits, vec.amps, [1.0] + [0.0] * n)
+    sectors = {}
+    for weight, vec in pairs:
+        k = core._excitations(vec.bits)
+        for sector in np.flatnonzero(np.bincount(k)).tolist():
+            rows = k == sector
+            sectors.setdefault(sector, []).append((weight, vec.bits[rows], vec.amps[rows]))
+    out = []
+    for sector in sorted(sectors):
+        comps = sectors[sector]
+        bits, v = reference_first_appearance_support([(b, a) for _, b, a in comps])
+        order = np.argsort(core._keys(bits))
+        q, r = np.linalg.qr(v[:, order].T)
+        weights = np.array([weight for weight, _, _ in comps])
+        w, u = core._kept_spectrum((r * weights) @ r.conj().T)
+        vectors = (reference_unit_state(n, bits[order], q @ u[:, c]) for c in range(len(w)))
+        out += zip(w.tolist(), vectors)
+    return reference_normalized(out)
+
+
+def reference_mc_pairs(state, config, params, ens):
+    """The trajectory average's eigenpairs from reference_char_function."""
+    evolved = gradqfi.evolve(state, config, params)
+    if params.t == 0.0 or params.delta_e == 0.0 or params.gamma_prime == 0.0:
+        return [(1.0, evolved)]
+    model = gradqfi.NoiseModel.from_params(params)
+    char = reference_char_function(ens.seed, ens.n_traj, params.t, model, params.gamma_prime,
+                                   state.n_qubits)
+    return reference_sector_pairs(state.n_qubits, evolved.bits, evolved.amps, char)
+
+
+def reference_evolve_pairs(pairs, config, params):
+    out = []
+    for w, vec in pairs:
+        phase, _ = core._evolution_terms(vec.bits, config, params)
+        out.append((w, SparseState(vec.n_qubits, vec.bits,
+                                   core._cmul(vec.amps, np.cos(phase), -np.sin(phase)))))
+    return out
+
+
+def reference_parity(pairs, config, params):
+    """Parity value and gradient, each eigenvector evolved and paired on its own rows."""
+    gt = params.gamma * params.t
+    value = grad = 0.0
+    for weight, vec in pairs:
+        phase, lam = core._evolution_terms(vec.bits, config, params)
+        amps = core._cmul(vec.amps, np.cos(phase), -np.sin(phase))
+        paired, at = measurement._complement_rows(vec.bits)
+        partner, amps = amps[at], amps[paired]
+        term = core._cmul(amps, partner.real, -partner.imag)
+        dterm = term.real * 0.0 - term.imag * ((-2.0 * gt) * lam[paired])
+        value += weight * qfi._seq_sum(term.real)
+        grad += weight * qfi._seq_sum(dterm)
+    return value, grad
+
+
+def reference_jx(pairs, config, params):
+    """J_x probabilities and derivatives, each eigenvector scattered on its own rows."""
+    n = config.n
+    gt = params.gamma * params.t
+    counts = measurement._basis_excitations(n)
+    probs = np.zeros(n + 1)
+    derivs = np.zeros(n + 1)
+    place = 1 << np.arange(n - 1, -1, -1)
+    for weight, vec in pairs:
+        phase, lam = core._evolution_terms(vec.bits, config, params)
+        amps = core._cmul(vec.amps, np.cos(phase), -np.sin(phase))
+        idx = vec.bits @ place
+        dense, ddense = np.zeros((2, 1 << n), dtype=np.complex128)
+        dense[idx] = amps
+        ddense[idx] = core._cmul(amps, 0.0, -gt * (lam - lam[0]))
+        x_amp = measurement._walsh_hadamard(dense)
+        x_damp = measurement._walsh_hadamard(ddense)
+        p = x_amp.real**2 + x_amp.imag**2
+        dp = 2.0 * (x_amp.conj() * x_damp).real
+        probs += weight * np.bincount(counts, weights=p, minlength=n + 1)
+        derivs += weight * np.bincount(counts, weights=dp, minlength=n + 1)
+    # a probability below 0 is read as 0, as OutcomeDistribution reads it
+    return [((0.0 if p < 0.0 else float(p)).hex(), float(d).hex()) for p, d in zip(probs, derivs)]
 
 
 def random_chain(rng, n, spread=1.0):

@@ -234,6 +234,22 @@ def test_tcrit_reference_values():
     assert payload["qfi_opt"] > 0.0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("reproduce", "fig5a", "--n-max", "20"), "error: the ghz value overflows float64 at n = 2"),
+    (("reproduce", "fig5b", "--n-max", "20"),
+     "error: the odf-half value overflows float64 at n = 2"),
+    (("qfi", "--state", "dicke", "--k", "3", "--n", "20"),
+     "error: profile spread overflows float64 at n = 20"),
+])
+def test_an_overflowing_length_is_a_named_computation_error(argv, message, tmp_path):
+    cp = run_cli(*argv, "--length", "1e155", cwd=tmp_path)
+    assert cp.returncode == 1
+    assert "Traceback" not in cp.stderr and cp.stderr.splitlines()[-1] == message
+    if argv[0] == "reproduce":  # the sweep runs under one errstate: no numpy warning
+        assert cp.stderr == message + "\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_tcrit_without_noise_is_a_computation_error():
     cp = run_cli("tcrit", "--n", "8")
     assert cp.returncode == 1

@@ -17,6 +17,7 @@ from gradqfi import (
     InvalidProfile,
     LengthMismatch,
     NonFiniteCoordinate,
+    NoiseModel,
     NonNormalizedState,
     OutOfRange,
     PhysParams,
@@ -24,9 +25,13 @@ from gradqfi import (
     SpectralState,
     SpectrumNotPositive,
     SupportTooLarge,
+    TrajectoryEnsemble,
+    apply_channel,
     evolve,
     make_chain,
     make_named_state,
+    mc_trajectory_average,
+    steady_twirl,
 )
 from gradqfi.core import STATE_NAMES, _dicke_bits, _evolution_terms, _sector_spectral
 from gradqfi.measurement import _basis_excitations
@@ -35,6 +40,7 @@ from conftest import (
     dense_rho,
     dense_unitary,
     random_chain,
+    random_mixture,
     random_params,
     random_sparse,
     reference_evolution_terms,
@@ -277,6 +283,31 @@ def test_spectral_state_validation():
     plus = SparseState.from_terms(1, (("0", math.sqrt(0.5)), ("1", math.sqrt(0.5))))
     with pytest.raises(NonNormalizedState):
         SpectralState(1, ((0.5, up), (0.5, plus)))  # not orthogonal
+
+
+def test_public_and_library_built_states_share_one_form():
+    # strictly ascending rows, read-only arrays, one unit-norm row per weight
+    rng = np.random.default_rng(1640)
+    chain, params = random_chain(rng, 4), random_params(rng)
+    model = NoiseModel.from_params(params)
+    product, ghz = make_named_state("product", 4), make_named_state("ghz", 4)
+    mixture = random_mixture(rng, 4, 3)
+    given = SpectralState(4, ((0.5, ghz), (0.5, make_named_state("dicke", 4, k=1))))
+    states = [
+        product, random_sparse(rng, 4), mixture, given,
+        apply_channel(product, model, 0.8), apply_channel(ghz, model, math.inf),
+        steady_twirl(product), steady_twirl(mixture), evolve(mixture, chain, params),
+        mc_trajectory_average(product, chain, params, TrajectoryEnsemble(64, seed=3)),
+    ]
+    for state in states:
+        keys = [row.tobytes() for row in state.bits]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert not state.bits.flags.writeable and not state.vectors.flags.writeable
+        assert state.vectors.shape == (len(state.weights), len(keys))
+        assert np.abs(np.linalg.norm(state.vectors, axis=1) - 1.0).max() <= 1e-12
+        if isinstance(state, SpectralState):
+            assert state.eigenpairs is state.eigenpairs  # built once
+    assert given.eigenpairs[0] == (0.5, ghz)  # the pairs as given
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,7 @@ from gradqfi import (
     parity_expectation,
     qfi_general,
     qfi_pure,
+    steady_twirl,
     theta_for_saturation,
 )
 
@@ -195,6 +196,13 @@ def test_parity_pairs_each_row_with_its_complement_as_a_dict_lookup(n):
         states.append(make_named_state("dicke", n, k=n // 2))
     # GHZ and psi-m with m = 1 share no row, so they mix into a rank-2 state
     states.append(SpectralState(n, ((0.3, states[0]), (0.7, states[1]))))
+    # and the library's mixtures: eigenvectors on one row set, zero where they have no entry
+    model = NoiseModel(gamma_prime=0.8, delta_e=1.2, tau_c=0.7)
+    dephased = apply_channel(states[4], model, 0.4)
+    states += [apply_channel(states[0], model, 0.7), dephased, steady_twirl(dephased),
+               steady_twirl(states[-1])]
+    if n <= 9:
+        states.append(apply_channel(make_named_state("product", n), model, 0.8))
     for state in states:
         got = measurement._parity_value_and_gradient(state, chain, params)
         assert got == _dict_paired_parity(state, chain, params)

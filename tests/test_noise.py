@@ -6,18 +6,21 @@ import numpy as np
 import pytest
 
 import gradqfi.noise as noise_module
+from gradqfi import measurement
 from gradqfi import (
     NegativeTime,
     NoiseModel,
     OutOfRange,
     PhysParams,
     SparseState,
+    SpectralState,
     TrajectoryEnsemble,
     ZeroTrajectories,
     apply_channel,
     coherence_factor,
     correlation_integral,
     evolve,
+    jx_distribution,
     make_chain,
     make_named_state,
     mc_coherence_magnitude,
@@ -31,7 +34,13 @@ from gradqfi import (
 from conftest import (
     dense_rho,
     random_chain,
+    reference_channel_pairs,
     reference_char_function,
+    reference_evolve_pairs,
+    reference_jx,
+    reference_mc_pairs,
+    reference_parity,
+    reference_twirl_pairs,
     random_mixture,
     random_params,
     random_sparse,
@@ -255,6 +264,55 @@ def test_a_sector_whose_amplitudes_are_all_zero_is_dropped():
                 assert {bits for bits, _ in vec.terms} <= {"00", "11"}
             want[0, 3] = want[3, 0] = 0.48 * coherence
             np.testing.assert_allclose(dense_rho(out), want, atol=1e-12)
+        # in a mixture too: no eigenvector reaches sector 1, where "01" has amplitude 0
+        up = SparseState.from_terms(2, [("00", 1.0), ("01", 0.0)])
+        mixed = SpectralState(2, ((0.36, up), (0.64, SparseState.from_terms(2, [("11", 1.0)]))))
+        out = steady_twirl(mixed)
+        assert out.rank == 2
+        assert {bits for _, vec in out.eigenpairs for bits, _ in vec.terms} == {"00", "11"}
+        np.testing.assert_allclose(dense_rho(out), np.diag([0.36, 0.0, 0.0, 0.64]), atol=1e-12)
+
+
+def _pairs_bytes(pairs):
+    return [(float(w).hex(), vec.bits.tobytes(), vec.amps.tobytes()) for w, vec in pairs]
+
+
+def _one_form_cases(rng, n, chain, params):
+    """(state the library built, its eigenpairs built one eigenvector at a time)."""
+    ens = TrajectoryEnsemble(n_traj=64, seed=n)
+    # a row with amplitude 0 in an occupied sector: no eigenvector keeps it
+    rows = ("0" * n, "0" * (n - 1) + "1", "1" + "0" * (n - 1), "1" * n)
+    holed = SparseState.from_terms(n, zip(rows, (0.6, 0.0, 0.64, 0.48)))
+    for probe in (make_named_state("product", n), make_named_state("ghz", n), holed,
+                  make_named_state("dicke", n, k=n // 2), random_sparse(rng, n, min(1 << n, 12))):
+        for t in (0.05, 0.8, 50.0, math.inf):
+            yield apply_channel(probe, MODEL, t), reference_channel_pairs(probe, MODEL, t)
+        yield (mc_trajectory_average(probe, chain, params, ens),
+               reference_mc_pairs(probe, chain, params, ens))
+        yield steady_twirl(probe), reference_twirl_pairs(n, [(1.0, probe)])
+        yield (steady_twirl(apply_channel(probe, MODEL, 0.8)),
+               reference_twirl_pairs(n, reference_channel_pairs(probe, MODEL, 0.8)))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_one_state_form_gives_the_per_eigenvector_bytes(n):
+    # one row set and an eigenvector matrix must give, bit for bit, the
+    # eigenpairs, evolution and readouts of each eigenvector on its own rows
+    rng = np.random.default_rng(1600 + n)
+    for x0 in (0.1, -1e2, -1e4):
+        chain = make_chain(np.sort(rng.uniform(0.0, 1.0, size=n)), x0=x0)
+        params = random_params(rng, grad=float(rng.uniform(0.1, 1.0)))
+        for got, want in _one_form_cases(rng, n, chain, params):
+            assert _pairs_bytes(got.eigenpairs) == _pairs_bytes(want)
+            evolved = evolve(got, chain, params).eigenpairs
+            want_evolved = reference_evolve_pairs(want, chain, params)
+            assert _pairs_bytes(evolved) == _pairs_bytes(want_evolved)
+            value, grad = measurement._parity_value_and_gradient(got, chain, params)
+            want_value, want_grad = reference_parity(want, chain, params)
+            assert (value.hex(), grad.hex()) == (want_value.hex(), want_grad.hex())
+            outcomes = jx_distribution(got, chain, params).outcomes
+            want_jx = reference_jx(want, chain, params)
+            assert [(p.hex(), dp.hex()) for _, p, dp in outcomes] == want_jx
 
 
 def _sector_coherences(psi, mixed):

@@ -364,6 +364,20 @@ def test_product_steady_matches_twirl_plus_general(n):
     assert want == pytest.approx(gt * gt * float(((f - f.mean()) ** 2).sum()), rel=1e-12)
 
 
+def test_twirled_product_far_from_x0_shifts_lambda_by_its_first_eigenvector():
+    # on the ascending union the first row need not belong to the heaviest
+    # eigenvector; the lambda shift must still come from that eigenvector's
+    # first row, or the c (k - k_0) term stops vanishing within its sector
+    rng = np.random.default_rng(1630)
+    for n in range(2, 11):
+        steady = steady_twirl(make_named_state("product", n))
+        for _ in range(5):
+            chain = make_chain(np.sort(rng.uniform(0.0, 1.0, size=n)), x0=-1e2)
+            params = random_params(rng)
+            got = qfi_general(steady, chain, params).value
+            assert rel_dev(got, qfi_product_steady(chain, params).value) < 1e-13, n
+
+
 @pytest.mark.parametrize("n", [2, 3, 7, 40])
 def test_dicke_reads_the_chain_spread_bit_for_bit(n):
     rng = np.random.default_rng(6800 + n)

@@ -14,6 +14,7 @@ from gradqfi import (
     FisherReport,
     NoNoise,
     NonFiniteCoordinate,
+    NumericOverflow,
     NoiseModel,
     OutOfRange,
     PhysParams,
@@ -396,7 +397,9 @@ def test_fig5_sweep_rows_equal_the_per_chain_path_bit_for_bit(case):
     ([], 1.0, 1.0),
     ([1, 2], 1.0, 1.0),
     ([0, 3], -1.0, 0.0),  # n_range is checked first
-    (range(2, 9), 1e155, 1.0),  # overflow: NaN GHZ value, or fsum overflow in the spread
+    (range(2, 9), 1e155, 1.0),  # overflow: NaN GHZ value, inf odf value
+    (range(2, 30), 1e154, 1.0),  # overflow at n = 3 (case a) and n = 5 (case b)
+    (range(2, 9), 1.0, 1e160),  # overflow: (gamma t)^2 is inf
 ])
 def test_fig5_sweep_rejects_what_the_per_chain_path_rejects(case, ns, length, gamma_t):
     with warnings.catch_warnings():
@@ -406,6 +409,8 @@ def test_fig5_sweep_rejects_what_the_per_chain_path_rejects(case, ns, length, ga
     with pytest.raises(Exception) as got:
         sweep_fig5(ns, length, case, gamma_t)
     assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+    if math.isfinite(length) and max(length, gamma_t) > 1e150:
+        assert type(got.value) is NumericOverflow
 
 
 def test_fig5b_sweep_to_four_thousand_qubits_runs_in_under_three_seconds():
