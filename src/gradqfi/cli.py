@@ -37,8 +37,10 @@ from .core import (
     make_chain,
     make_named_state,
 )
-from .errors import ComputationError, OutputError, ValidationError
+from .errors import ComputationError, NumericOverflow, OutputError, ValidationError
 from .measurement import (
+    _DENSE_CAP_QUBITS,
+    _basis_excitations,
     _parity_outcomes,
     _parity_value_and_gradient,
     _propagated_variance,
@@ -200,6 +202,13 @@ def _deliver(text: str, out_path: str | None) -> None:
     except OSError as exc:
         raise OutputError(f"--out {out_path}: {exc}") from exc
     print(f"wrote {out_path}")
+
+
+def _finite(n: int, columns: Sequence[str], rows: Sequence[Sequence]) -> None:
+    """Refuse a float column with inf or nan, which only float64 overflow gives here."""
+    for name, cells in zip(columns, zip(*rows)):
+        if isinstance(cells[0], float) and not all(map(math.isfinite, cells)):
+            raise NumericOverflow(f"the {name} value overflows float64 at n = {n}")
 
 
 def _emit(cfg: RunConfig, columns: Sequence[str], rows: Sequence[Sequence],
@@ -434,6 +443,7 @@ def cmd_qfi(cfg: RunConfig) -> int:
         if cfg.scenario == "unknown-b0":
             _check_offset_insensitive(cfg)
         report = _state_qfi(cfg, config, params)
+    _finite(cfg.n, (report.path,), ((report.value,),))
     return _emit_report(cfg, report)
 
 
@@ -455,6 +465,8 @@ def _measured_state(cfg: RunConfig, params: PhysParams) -> State:
 def cmd_cfi(cfg: RunConfig) -> int:
     config = cfg.chain()
     params = cfg.params()
+    if cfg.observable == "jx" and cfg.n > _DENSE_CAP_QUBITS:
+        _basis_excitations(cfg.n)  # raises the J_x cap's error before any state is built
     state = _measured_state(cfg, params)
     if cfg.observable == "jx":
         dist = jx_distribution(state, config, params)
@@ -488,6 +500,7 @@ def cmd_noise_scan(cfg: RunConfig) -> int:
     times = (t_max * (i / (cfg.points - 1)) for i in range(cfg.points))
     rows = [(t, correlation_integral(model, t), coherence_factor(model, t, cfg.n)) for t in times]
     columns = ("t", "correlation", "coherence")
+    _finite(cfg.n, columns, rows)
     return _emit(cfg, columns, rows, {
         "columns": list(columns),
         "rows": [list(row) for row in rows],
@@ -501,6 +514,7 @@ def cmd_tcrit(cfg: RunConfig) -> int:
     t_opt, qfi_opt = optimal_time_ghz(config, params)
     columns = ("t_crit", "t_opt", "qfi_opt")
     row = (t_crit, t_opt, qfi_opt)
+    _finite(cfg.n, columns, (row,))
     return _emit(cfg, columns, (row,), dict(zip(columns, row)))
 
 
@@ -509,6 +523,7 @@ def cmd_placement_search(cfg: RunConfig) -> int:
         cfg.n, cfg.length, cfg.objective, cfg.grid_points,
         x_start=0.0, params=cfg.params(),
     )
+    _finite(cfg.n, (report.path,), ((report.value,),))
     kind = "all-at-end" if cfg.objective.endswith("known-b0") else "half-half"
     row = (
         cfg.objective, kind, report.value, report.crb_variance,
@@ -548,6 +563,7 @@ def cmd_reproduce(cfg: RunConfig) -> int:
     out_path = cfg.out if cfg.out is not None else f"{target}.csv"
     if target == "table1":
         table = table1(cfg.n, cfg.length, cfg.gamma * cfg.t)
+        _finite(cfg.n, table.columns, table.rows)
         text = emit_csv(table.columns, table.rows)
         sys.stdout.write(_table_text(table))
         _deliver(text, out_path)
@@ -565,6 +581,7 @@ def cmd_reproduce(cfg: RunConfig) -> int:
     else:
         case = "a" if target == "fig5a" else "b"
         sweep = sweep_fig5(range(2, cfg.n_max + 1), cfg.length, case, cfg.gamma * cfg.t)
+    _finite(cfg.n, sweep.columns, sweep.rows)
     _deliver(emit_csv(sweep.columns, sweep.rows), out_path)
     return 0
 
@@ -793,4 +810,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except ComputationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError:  # a Python float power in table1's or the placement search's sums
+        print(f"error: the {cfg.target or cfg.command} value overflows float64 at n = {cfg.n}",
+              file=sys.stderr)
         return 1

@@ -21,8 +21,9 @@ through the phase each row picks up; _evolution_terms computes that phase
 and lambda_I of H_G once per state, for evolve, the readouts and the Monte
 Carlo trajectories alike, in one pass over each qubit's row.
 
-Everything here is immutable and side-effect free, so all operations
-are safe to call concurrently.
+Public constructors check their input; the library builds its own states
+and chains through _frozen, unchecked.  Everything here is immutable and
+side-effect free, so all operations are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -53,6 +54,17 @@ SPARSE_CAP = 1 << 20
 
 NORM_TOL = 1e-12
 ORTHO_TOL = 1e-10
+
+
+def _frozen(obj, *values):
+    """Set a frozen dataclass's fields in declaration order, its arrays read-only.  Handed
+    a class, make a new instance with no check: for values that hold its invariants."""
+    obj = obj.__new__(obj) if isinstance(obj, type) else obj
+    for value in values:
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    obj.__dict__.update(zip(obj.__dataclass_fields__, values))
+    return obj
 
 
 # ----------------------------------------------------------------------
@@ -104,8 +116,7 @@ def _chain_arrays(positions: Iterable[float], x0: float,
                   profile: FieldProfile) -> tuple[np.ndarray, np.ndarray]:
     """The positions p as a float64 vector (float() of each) and f = f(p - x0), both
     checked finite; p and x0 are checked before the profile is evaluated."""
-    flat = isinstance(positions, np.ndarray) and positions.dtype == np.float64 and positions.ndim == 1
-    p = positions if flat else np.fromiter(map(float, positions), np.float64)
+    p = np.fromiter(map(float, positions), np.float64)
     if not p.size:
         raise EmptyChain("positions must contain at least one qubit")
     _check_finite(p, "position")
@@ -122,10 +133,10 @@ def _chain_arrays(positions: Iterable[float], x0: float,
 class ChainConfig:
     """Qubit positions, the reference point x0, and the field profile.
 
-    positions must already be ordered by ascending f(x - x0); build
-    instances through make_chain, which sorts for you (stable in the
-    original order on ties).  Each check is one vector test on the float64
-    positions p or on f = f(p - x0); positions and f_values are p and f as
+    positions must already be ordered by ascending f(x - x0); the
+    constructor checks that with vector tests on the float64 positions p
+    and on f = f(p - x0).  make_chain sorts (stable on ties), checks once
+    and builds the chain unchecked.  positions and f_values are p and f as
     tuples of floats, and f_array is f itself, read-only.
     """
 
@@ -140,10 +151,7 @@ class ChainConfig:
         if (f[1:] < f[:-1]).any():
             raise OutOfRange("positions must be ordered by ascending profile value; "
                              "use make_chain")
-        f.setflags(write=False)
-        object.__setattr__(self, "positions", tuple(p.tolist()))
-        object.__setattr__(self, "f_values", tuple(f.tolist()))
-        object.__setattr__(self, "f_array", f)
+        _frozen(self, tuple(p.tolist()), self.x0, self.profile, tuple(f.tolist()), f)
 
     @property
     def n(self) -> int:
@@ -151,8 +159,9 @@ class ChainConfig:
 
     @cached_property
     def spread(self) -> float:
-        """sum_i (f_i - mean f)^2 (see _spread), computed once."""
-        return _spread(self.f_array - self.f_array.mean())
+        """sum_i (f_i - mean f)^2 (see _spread), computed once; inf on overflow, silently."""
+        with np.errstate(over="ignore"):
+            return _spread(self.f_array - self.f_array.mean())
 
 
 def _spread(centred: np.ndarray) -> float:
@@ -173,10 +182,13 @@ def make_chain(
     The sort is one stable argsort of f: positions with equal profile
     values (-0.0 and 0.0 too) keep their input order (the physics is
     invariant under relabeling, so the choice only pins down a
-    deterministic convention).
+    deterministic convention).  The chain keeps the sorted arrays of the one
+    pass that computes and checks them, so the profile runs once per qubit.
     """
     p, f = _chain_arrays(positions, x0, profile)
-    return ChainConfig(p[f.argsort(kind="stable")], float(x0), profile)
+    order = f.argsort(kind="stable")
+    p, f = p[order], f[order]
+    return _frozen(ChainConfig, tuple(p.tolist()), float(x0), profile, tuple(f.tolist()), f)
 
 
 # ----------------------------------------------------------------------
@@ -248,8 +260,8 @@ class SparseState:
     bits is a read-only (terms, n_qubits) bool matrix (column i is qubit
     i + 1) with unique rows, sorted on construction into ascending
     bitstring order; amps holds each row's complex128 amplitude, a unit
-    vector within 1e-12.  The constructor may keep, and make read-only,
-    the arrays it is given instead of copying them.
+    vector within 1e-12.  The constructor checks this and may keep, read-only,
+    the arrays it is given; the library's own states are built unchecked.
     """
 
     n_qubits: int
@@ -285,10 +297,7 @@ class SparseState:
             raise NonNormalizedState(
                 f"sum of |amplitude|^2 is {norm2!r}, expected 1 within {NORM_TOL:g}"
             )
-        bits.setflags(write=False)
-        amps.setflags(write=False)
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "amps", amps)
+        _frozen(self, n, bits, amps)
 
     @classmethod
     def from_terms(cls, n_qubits: int, terms: Iterable[tuple[str, complex]]) -> "SparseState":
@@ -335,8 +344,8 @@ class SpectralState:
     bits holds the ascending rows of the joint support and vectors the
     read-only (rank, rows) matrix of eigenvectors over them (0 where one has
     no entry).  The constructor checks that the weights are >= 0 and sum to
-    1 within 1e-12 and the eigenvectors are orthogonal within 1e-10; _built,
-    for the library's own states, checks nothing.
+    1 within 1e-12 and the eigenvectors are orthogonal within 1e-10; the
+    library's own states are built through _frozen, unchecked.
     """
 
     n_qubits: int
@@ -366,23 +375,13 @@ class SpectralState:
                 f"eigenvectors are not orthogonal within {ORTHO_TOL:g} "
                 f"(worst overlap {worst:.3e})"
             )
-        built = self._built(n_qubits, bits, vectors, tuple(w for w, _ in pairs))
-        self.__dict__.update(vars(built), eigenpairs=pairs)  # the pairs as given
-
-    @classmethod
-    def _built(cls, n_qubits: int, bits: np.ndarray, vectors: np.ndarray,
-               weights: tuple[float, ...]) -> "SpectralState":
-        """A state the library built: ascending bits, orthonormal rows, unit weight sum."""
-        bits.setflags(write=False)
-        vectors.setflags(write=False)
-        state = cls.__new__(cls)
-        state.__dict__.update(n_qubits=n_qubits, bits=bits, vectors=vectors, weights=weights)
-        return state
+        _frozen(self, n_qubits, bits, vectors, tuple(w for w, _ in pairs))
+        self.__dict__["eigenpairs"] = pairs  # the pairs as given
 
     @cached_property
     def eigenpairs(self) -> tuple[tuple[float, SparseState], ...]:
         """(weight, SparseState) pairs: those given, or each built row's nonzero entries."""
-        return tuple((w, SparseState(self.n_qubits, self.bits[row != 0], row[row != 0]))
+        return tuple((w, _frozen(SparseState, self.n_qubits, self.bits[row != 0], row[row != 0]))
                      for w, row in zip(self.weights, self.vectors))
 
     @property
@@ -454,11 +453,11 @@ def evolve(state: State, config: ChainConfig, params: PhysParams) -> State:
     phase, _ = _evolution_terms(state.bits, config, params)
     re, im = np.cos(phase), -np.sin(phase)
     if isinstance(state, SparseState):
-        return SparseState(state.n_qubits, state.bits, _cmul(state.amps, re, im))
+        return _frozen(SparseState, state.n_qubits, state.bits, _cmul(state.amps, re, im))
     vectors = np.empty_like(state.vectors)
     for row, out in zip(state.vectors, vectors):
         _cmul(row, re, im, out)
-    return SpectralState._built(state.n_qubits, state.bits, vectors, state.weights)
+    return _frozen(SpectralState, state.n_qubits, state.bits, vectors, state.weights)
 
 
 # ----------------------------------------------------------------------
@@ -492,7 +491,7 @@ def make_named_state(name: str, n_qubits: int, *, k: int | None = None, m: int |
         if not 0 <= value <= n_qubits:
             raise OutOfRange(f"{label} must be in [0, {n_qubits}], got {value!r}")
 
-    if name == "ghz":
+    if name == "ghz" or (name == "psi-m" and m == 0):  # psi-m at m = 0 is the GHZ pair
         return _two_branch(n_qubits, n_qubits, 0)
     if name == "ghz-theta":
         rel = complex(math.cos(theta), math.sin(theta)) * _SQRT_HALF
@@ -503,29 +502,27 @@ def make_named_state(name: str, n_qubits: int, *, k: int | None = None, m: int |
                 f"product state needs 2^{n_qubits} terms, above the sparse cap; "
                 "use the closed-form paths instead"
             )
-        amp = 2.0 ** (-0.5 * n_qubits)
-        return SparseState(n_qubits, _product_bits(n_qubits), np.full(1 << n_qubits, amp, complex))
-    if name == "odf":
-        if k in (0, n_qubits):  # both branches are the same bitstring
-            return SparseState(n_qubits, np.full((1, n_qubits), k > 0), np.ones(1, complex))
+        amps = np.full(1 << n_qubits, 2.0 ** (-0.5 * n_qubits), complex)
+        return _frozen(SparseState, n_qubits, _product_bits(n_qubits), amps)
+    if name == "odf" and 0 < k < n_qubits:
         return _two_branch(n_qubits, k, k)
     if name == "psi-m":
         return _two_branch(n_qubits, m, n_qubits - m)
-    # dicke
+    # dicke, and odf at k = 0 or n, whose two branches are one bitstring
     count = math.comb(n_qubits, k)
     if count > SPARSE_CAP:
         raise SupportTooLarge(f"dicke state needs C({n_qubits},{k})={count} terms, "
                               "above the sparse cap")
-    return SparseState(n_qubits, _dicke_bits(n_qubits, k),
-                       np.full(count, 1.0 / math.sqrt(count), complex))
+    return _frozen(SparseState, n_qubits, _dicke_bits(n_qubits, k),
+                   np.full(count, 1.0 / math.sqrt(count), complex))
 
 
 def _two_branch(n: int, first: int, last: int, amp_first: complex = _SQRT_HALF) -> SparseState:
-    """(|0..0 1^last> + amp_first * sqrt(2) |1^first 0..0>) / sqrt(2)."""
+    """(|0..0 1^last> + amp_first * sqrt(2) |1^first 0..0>) / sqrt(2), last < n, first > 0."""
     bits = np.zeros((2, n), dtype=bool)
     bits[0, n - last :] = True
     bits[1, :first] = True
-    return SparseState(n, bits, np.array((_SQRT_HALF, amp_first), dtype=np.complex128))
+    return _frozen(SparseState, n, bits, np.array((_SQRT_HALF, amp_first), dtype=np.complex128))
 
 
 def _dicke_bits(n: int, k: int) -> np.ndarray:
@@ -594,7 +591,7 @@ def _spectral_rows(n_qubits: int, bits: np.ndarray, weights: Sequence[float],
     if not used.all():
         bits, vectors = bits[used], vectors[:, used]
     total = math.fsum(weights)
-    return SpectralState._built(n_qubits, bits, vectors, tuple(w / total for w in weights))
+    return _frozen(SpectralState, n_qubits, bits, vectors, tuple(w / total for w in weights))
 
 
 def _sector_spectral(

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ChainConfig, PhysParams, SparseState, SpectralState, State, _excitations, _kept_spectrum,
-    _sector_spectral, _spectral_rows, evolve,
+    ChainConfig, PhysParams, SparseState, SpectralState, State, _excitations, _frozen,
+    _kept_spectrum, _sector_spectral, _spectral_rows, evolve,
 )
 from .errors import NegativeTime, OutOfRange, ZeroTrajectories
 
@@ -277,7 +277,7 @@ def mc_trajectory_average(
     evolved = evolve(state, config, params)
     if params.t == 0.0 or model.delta_e == 0.0 or model.gamma_prime == 0.0:
         # noise-free: the average is the evolved pure state itself
-        return SpectralState._built(n, evolved.bits, evolved.vectors, evolved.weights)
+        return _frozen(SpectralState, n, evolved.bits, evolved.vectors, evolved.weights)
     char = _char_function(ens.seed, ens.n_traj, params.t, model, params.gamma_prime, n)
     # element (I, J) picks up char[k_J - k_I], conjugated when k_J < k_I
     return _sector_spectral(n, evolved.bits, evolved.amps, char)

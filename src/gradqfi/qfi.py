@@ -70,8 +70,9 @@ def _spectral_qfi(state: State, config: ChainConfig, params: PhysParams) -> floa
     """QFI of rho = sum_a w_a |a><a| for H_G: _spectral_core on the state's stored arrays."""
     if state.n_qubits != config.n:
         raise LengthMismatch(f"state has {state.n_qubits} qubits but chain has {config.n}")
-    return _spectral_core(state.bits, state.vectors, state.weights, config.f_array,
-                          params.gamma * params.t)
+    with np.errstate(over="ignore"):  # inf on overflow, as float arithmetic
+        return _spectral_core(state.bits, state.vectors, state.weights, config.f_array,
+                              params.gamma * params.t)
 
 
 def _spectral_core(excited: np.ndarray, v: np.ndarray, weights: list[float],
@@ -114,7 +115,7 @@ def _spectral_core(excited: np.ndarray, v: np.ndarray, weights: list[float],
         if wa > cutoff:
             total += 4.0 * wa * resid_norm2[a]
         for b, wb in enumerate(weights):
-            if wa + wb > cutoff:
+            if wa + wb > cutoff and wa != wb:  # wa = wb: a zero factor, and 0 * inf is nan
                 total += 2.0 * (wa - wb) ** 2 / (wa + wb) * h2[a][b]
     return gt * gt * total
 
@@ -174,8 +175,9 @@ def qfi_max_separable(config: ChainConfig, params: PhysParams) -> FisherReport:
 
 def _separable(gt2: float, f: np.ndarray) -> float:
     """(gamma t)^2 sum_i f_i^2 from gt2 = (gamma t)^2 and a profile f (the centred one
-    for the steady product), summed by numpy."""
-    return gt2 * float((f**2).sum())
+    for the steady product), summed by numpy; inf on overflow, as float arithmetic."""
+    with np.errstate(over="ignore"):
+        return gt2 * float((f**2).sum())
 
 
 def _seq_sum(x: np.ndarray) -> float:

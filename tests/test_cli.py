@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -248,6 +249,62 @@ def test_an_overflowing_length_is_a_named_computation_error(argv, message, tmp_p
     if argv[0] == "reproduce":  # the sweep runs under one errstate: no numpy warning
         assert cp.stderr == message + "\n"
     assert not list(tmp_path.iterdir())
+
+
+_QFI_AT_N20 = ("qfi", "--n", "20", "--length")
+
+
+def _overflow(value, n):
+    return f"error: the {value} value overflows float64 at n = {n}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_QFI_AT_N20 + ("1e155", "--state", "product"), _overflow("closed-form:max-separable", 20)),
+    (_QFI_AT_N20 + ("1e200", "--state", "product"), _overflow("closed-form:max-separable", 20)),
+    (_QFI_AT_N20 + ("1e155", "--state", "odf", "--k", "3"),
+     _overflow("closed-form:dfs-subspace", 20)),
+    (_QFI_AT_N20 + ("1e200", "--state", "odf", "--k", "3"),
+     _overflow("closed-form:dfs-subspace", 20)),
+    (_QFI_AT_N20 + ("1e155", "--state", "dicke", "--k", "3"),
+     "error: profile spread overflows float64 at n = 20\n"),
+    (_QFI_AT_N20 + ("1e200", "--state", "dicke", "--k", "3"), _overflow("closed-form:dicke", 20)),
+    (_QFI_AT_N20 + ("1e155", "--state", "ghz"), _overflow("pure-variance", 20)),
+    (_QFI_AT_N20 + ("1e200", "--state", "ghz"), _overflow("pure-variance", 20)),
+    (_QFI_AT_N20 + ("1e155", "--state", "psi-m", "--m", "3"), _overflow("pure-variance", 20)),
+    (_QFI_AT_N20 + ("1e200", "--state", "psi-m", "--m", "3"), _overflow("pure-variance", 20)),
+    (_QFI_AT_N20 + ("1e200", "--scenario", "noisy"), _overflow("closed-form:noisy-ghz", 20)),
+    (("reproduce", "table1", "--length", "1e200"), _overflow("table1", 4)),
+    (("reproduce", "table1", "--gamma-t", "1e200"), _overflow("general", 4)),
+    (("reproduce", "fig3", "--length", "1e200"), _overflow("qfi", 50)),
+    (("reproduce", "fig4", "--length", "1e200"), _overflow("half-half", 100)),
+    (("tcrit", "--n", "20", "--delta-e", "1", "--length", "1e200"), _overflow("t_crit", 20)),
+    (("placement-search", "--n", "4", "--length", "1e200"), _overflow("closed-form:dfs-max", 4)),
+    (("placement-search", "--n", "4", "--length", "1e200", "--objective", "product-steady"),
+     _overflow("placement-search", 4)),
+    (("noise-scan", "--n", "20", "--delta-e", "1e200", "--points", "3"),
+     _overflow("correlation", 20)),
+], ids=lambda value: "_".join(value) if isinstance(value, tuple) else "")
+def test_an_overflowing_value_is_one_named_error_line(argv, message, tmp_path, monkeypatch,
+                                                     capsys):
+    # exit 1 with one stderr line: no traceback, no numpy warning, no stdout, no file
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(list(argv)) == 1
+    assert capsys.readouterr() == ("", message)
+    assert not list(tmp_path.iterdir())
+
+
+def test_the_jx_cap_is_checked_before_any_state_is_built(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("a state was built")
+
+    monkeypatch.setattr(cli, "apply_channel", fail)
+    monkeypatch.setattr(cli, "make_named_state", fail)
+    argv = ["cfi", "--observable", "jx", "--scenario", "noisy", "--state", "product",
+            "--n", "18", "--delta-e", "0.7", "--t", "0.8"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: J_x distribution needs n <= 12, got 18\n"
 
 
 def test_tcrit_without_noise_is_a_computation_error():

@@ -164,7 +164,9 @@ def test_chains_match_a_plain_python_oracle(positions, x0, kind, profile_name):
     want_pos, want_f = _reference_chain(positions, x0, profile)
     built = make_chain(_AS_INPUT[kind](positions), x0, profile)
     direct = ChainConfig(_AS_INPUT[kind](want_pos), x0, profile)
-    for chain in (built, direct):
+    rebuilt = ChainConfig(built.positions, x0, profile)  # make_chain's chain, checked
+    assert built.x0.hex() == float(x0).hex() and built == rebuilt
+    for chain in (built, direct, rebuilt):
         assert _hex(chain.positions) == _hex(want_pos)
         assert _hex(chain.f_values) == _hex(want_f)
         assert all(type(x) is float for x in chain.positions + chain.f_values)
@@ -174,6 +176,15 @@ def test_chains_match_a_plain_python_oracle(positions, x0, kind, profile_name):
 
 _NAN_ABOVE_HALF = FieldProfile("custom", lambda u: math.nan if u > 0.5 else 0.0)
 _FLOAT_OF_LIST = "float() argument must be a string or a real number, not 'list'"
+
+
+def test_make_chain_calls_a_custom_profile_once_per_qubit():
+    calls = []
+    profile = FieldProfile("custom", lambda u: calls.append(u) or u * u * u)
+    calls.clear()  # the profile's own f(0) check
+    chain = make_chain([0.4, -0.3, 0.1, 0.2, -0.5], 0.1, profile)
+    assert len(calls) == 5
+    assert chain.f_values == tuple(profile(x - 0.1) for x in chain.positions)
 
 
 @pytest.mark.parametrize(
@@ -494,14 +505,39 @@ def test_psi_m_blocks():
     assert make_named_state("psi-m", 4, m=0).terms == make_named_state("ghz", 4).terms
 
 
-@pytest.mark.parametrize("n", [1, 8, 9])
+def _assert_rebuilt_identically(state):
+    """A state the library built unchecked equals, byte for byte, its rebuild from copies
+    through the public constructor, which checks everything."""
+    if isinstance(state, SparseState):
+        twin = SparseState(state.n_qubits, state.bits.copy(), state.amps.copy())
+        pairs = ((state.bits, twin.bits), (state.amps, twin.amps))
+    else:
+        for _, vec in state.eigenpairs:
+            _assert_rebuilt_identically(vec)
+        twin = SpectralState(state.n_qubits, state.eigenpairs)
+        assert twin.weights == state.weights
+        pairs = ((state.bits, twin.bits), (state.vectors, twin.vectors))
+    for built, checked in pairs:
+        assert built.dtype == checked.dtype and built.flags.c_contiguous
+        assert not built.flags.writeable and not checked.flags.writeable
+        assert built.tobytes() == checked.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 10))
 @pytest.mark.parametrize("name", STATE_NAMES)
 def test_named_states_match_the_string_reference(name, n):
     counts = range(n + 1) if name in ("odf", "dicke", "psi-m") else (None,)
+    rng = np.random.default_rng(n)
+    chain, params = random_chain(rng, n), random_params(rng)
+    model, ens = NoiseModel.from_params(params), TrajectoryEnsemble(64, seed=n)
     for count in counts:
         kw = {"m": count} if name == "psi-m" else {"k": count}
         state = make_named_state(name, n, theta=0.7, **kw)
         assert state.terms == reference_named_state(name, n, theta=0.7, **kw)
+        for built in (state, evolve(state, chain, params), apply_channel(state, model, 0.8),
+                      apply_channel(state, model, math.inf), steady_twirl(state),
+                      mc_trajectory_average(state, chain, params, ens)):
+            _assert_rebuilt_identically(built)
 
 
 def test_named_state_argument_validation():
