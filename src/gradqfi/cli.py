@@ -59,6 +59,7 @@ from .noise import (
 )
 from .qfi import (
     FisherReport,
+    _dephased,
     _dfs_report,
     qfi_dfs_subspace,
     qfi_dicke,
@@ -66,7 +67,6 @@ from .qfi import (
     qfi_max_entangled,
     qfi_max_separable,
     qfi_noisy_ghz,
-    qfi_noisy_psim,
     qfi_product_steady,
     qfi_pure,
 )
@@ -430,8 +430,10 @@ def cmd_qfi(cfg: RunConfig) -> int:
     if cfg.scenario == "noisy":
         if cfg.state in ("ghz", "ghz-theta"):
             report = qfi_noisy_ghz(config, params)
-        elif cfg.state == "psi-m":
-            report = qfi_noisy_psim(config, params, cfg.m_value())
+        elif cfg.state == "psi-m":  # the gap of its branches: sum |f| only at the sign split
+            f, flipped = config.f_array, cfg.named_state().bits[-1]  # 1^m 0..0, 1..1 at m = 0
+            report = _dephased(params, abs(cfg.n - 2 * cfg.m_value()),
+                               float(np.where(flipped, -f, f).sum()), "closed-form:noisy-psim")
         elif cfg.state in ("dicke", "odf"):  # one excitation sector: decoherence-free
             report = _state_qfi(cfg, config, params)
         else:
@@ -443,11 +445,12 @@ def cmd_qfi(cfg: RunConfig) -> int:
         if cfg.scenario == "unknown-b0":
             _check_offset_insensitive(cfg)
         report = _state_qfi(cfg, config, params)
-    _finite(cfg.n, (report.path,), ((report.value,),))
     return _emit_report(cfg, report)
 
 
 def _emit_report(cfg: RunConfig, report: FisherReport) -> int:
+    if not report.divergent:  # a divergent report's inf is its outcome, not an overflow
+        _finite(cfg.n, (report.path,), ((report.value,),))
     columns = ("value", "path", "crb_variance")
     row = (report.value, report.path, report.crb_variance)
     return _emit(cfg, columns, (row,), dict(zip(columns, row)))

@@ -13,11 +13,11 @@ profile value f(x_i - x0); the leftmost character of a basis bitstring
 belongs to qubit 1 (the smallest f).  sigma_z |0> = +|0>.
 
 A state is an ascending bool matrix with a row per basis bitstring (column
-i is qubit i + 1), a complex matrix whose row a is eigenvector a over those
-rows (zero where it has none) and the eigen-weights; a pure state is the
-rank-1 case, amps[None, :] with weight 1.  Only SparseState.from_terms and
-.terms spell rows as '0'/'1' strings.  The gradient reaches a state only
-through the phase each row picks up; _evolution_terms computes that phase
+i is qubit i + 1) and its amplitudes; a mixed state holds instead each
+row's entries in its excitation sector's orthonormal columns and the matrix
+of rho between the columns.  Only SparseState.from_terms and .terms spell
+rows as '0'/'1' strings.  The gradient reaches a state only through the
+phase each row picks up; _evolution_terms computes that phase
 and lambda_I of H_G once per state, for evolve, the readouts and the Monte
 Carlo trajectories alike, in one pass over each qubit's row.
 
@@ -244,10 +244,10 @@ def _excitations(bits: np.ndarray) -> np.ndarray:
     return np.einsum("ij->i", bits, dtype=np.int32)
 
 
-def _cmul(a: np.ndarray, re, im, out: np.ndarray | None = None) -> np.ndarray:
-    """a * complex(re, im) elementwise (into out if given), rounded as CPython's complex
-    product is (numpy's complex multiply may round the last digit differently)."""
-    out = np.empty_like(a) if out is None else out
+def _cmul(a: np.ndarray, re, im) -> np.ndarray:
+    """a * complex(re, im) elementwise, rounded as CPython's complex product is (numpy's
+    complex multiply may round the last digit differently)."""
+    out = np.empty_like(a)
     out.real = a.real * re - a.imag * im
     out.imag = a.real * im + a.imag * re
     return out
@@ -325,7 +325,7 @@ class SparseState:
     def support_size(self) -> int:
         return len(self.amps)
 
-    weights = (1.0,)  # the state as SpectralState's rank-1 case
+    weights = (1.0,)  # the state as a rank-1 case of SpectralState's views
 
     @property
     def vectors(self) -> np.ndarray:
@@ -339,19 +339,23 @@ class SparseState:
 
 @dataclass(frozen=True, eq=False, init=False)
 class SpectralState:
-    """Mixed state in spectral form: weights plus orthonormal eigenvectors.
+    """Mixed state on excitation sectors: rho = sum_gh m[g, h] |q_g><q_h|.
 
-    bits holds the ascending rows of the joint support and vectors the
-    read-only (rank, rows) matrix of eigenvectors over them (0 where one has
-    no entry).  The constructor checks that the weights are >= 0 and sum to
-    1 within 1e-12 and the eigenvectors are orthogonal within 1e-10; the
-    library's own states are built through _frozen, unchecked.
+    bits holds the ascending support rows, sector each row's index among the
+    occupied sectors, basis[:, a] its entry of its sector's orthonormal column
+    g = sector * width + a; a state built from a pure probe has one column per
+    sector.  The constructor checks that the weights are >= 0 and sum to 1
+    within 1e-12 and the eigenvectors are orthogonal within 1e-10, keeps the
+    pairs and converts them by a thin QR per sector, A = QR, m = R W R^dagger.
+    Otherwise weights, vectors (the (rank, rows) eigenvector matrix) and
+    eigenpairs are lazy views of m's spectrum above _WEIGHT_DROP.
     """
 
     n_qubits: int
     bits: np.ndarray
-    vectors: np.ndarray
-    weights: tuple[float, ...]
+    sector: np.ndarray
+    basis: np.ndarray
+    m: np.ndarray
 
     def __init__(self, n_qubits: int, eigenpairs: Iterable[tuple[float, SparseState]]):
         pairs = tuple((float(w), v) for w, v in eigenpairs)
@@ -366,7 +370,12 @@ class SpectralState:
             total += w
         if abs(total - 1.0) > NORM_TOL:
             raise NonNormalizedState(f"weights sum to {total!r}, expected 1 within {NORM_TOL:g}")
-        bits, vectors = _joint_support([(vec.bits, vec.amps) for _, vec in pairs])
+        bits = np.concatenate([vec.bits for _, vec in pairs])  # the rows' ascending union
+        _, first, where = np.unique(_keys(bits), return_index=True, return_inverse=True)
+        vectors = np.zeros((len(pairs), len(first)), dtype=np.complex128)
+        vectors[np.repeat(np.arange(len(pairs)), [len(vec.amps) for _, vec in pairs]),
+                where] = np.concatenate([vec.amps for _, vec in pairs])
+        bits = bits[first]
         gram = vectors.conj() @ vectors.T
         np.fill_diagonal(gram, 0.0)
         worst = float(np.abs(gram).max())
@@ -375,12 +384,47 @@ class SpectralState:
                 f"eigenvectors are not orthogonal within {ORTHO_TOL:g} "
                 f"(worst overlap {worst:.3e})"
             )
-        _frozen(self, n_qubits, bits, vectors, tuple(w for w, _ in pairs))
-        self.__dict__["eigenpairs"] = pairs  # the pairs as given
+        weights = tuple(w for w, _ in pairs)
+        k = _excitations(bits)
+        sector = (np.cumsum(np.bincount(k) > 0) - 1)[k]
+        blocks = [(rows, *np.linalg.qr(vectors[:, rows].T))  # each sector's rows, Q and R
+                  for rows in map(np.flatnonzero, np.arange(sector.max() + 1)[:, None] == sector)]
+        width = max(q.shape[1] for _, q, _ in blocks)
+        basis = np.zeros((len(bits), width), dtype=np.complex128)
+        r_all = np.zeros((len(blocks) * width, len(pairs)), dtype=np.complex128)
+        for j, (rows, q, r) in enumerate(blocks):
+            basis[rows, : q.shape[1]] = q
+            r_all[j * width : j * width + len(r)] = r
+        _frozen(self, n_qubits, bits, sector, basis, (r_all * weights) @ r_all.conj().T)
+        vectors.setflags(write=False)
+        self.__dict__.update(eigenpairs=pairs, weights=weights, vectors=vectors)  # as given
+
+    _spectrum = cached_property(lambda self: _kept_spectrum(self.m))  # for the views
+
+    @cached_property
+    def weights(self) -> tuple[float, ...]:
+        """m's eigenvalues above _WEIGHT_DROP, heaviest first, divided by their fsum."""
+        w = self._spectrum[0]
+        return tuple((w / math.fsum(w)).tolist())
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        """Eigenvector c of m spread over the rows, sum_a u[sector * width + a, c] basis[:, a],
+        with its entries at or below _AMP_DROP dropped and the rest renormalized."""
+        u, width = self._spectrum[1], self.basis.shape[1]
+        cols = (self.sector * width)[:, None] + np.arange(width)
+        out = np.zeros((u.shape[1], len(self.bits)), dtype=np.complex128)
+        for c, row in enumerate(out):
+            spread = (u[cols, c] * self.basis).sum(axis=1)
+            keep = np.abs(spread) > _AMP_DROP
+            kept = spread[keep]
+            row[keep] = kept / math.sqrt(float(np.vdot(kept, kept).real))
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def eigenpairs(self) -> tuple[tuple[float, SparseState], ...]:
-        """(weight, SparseState) pairs: those given, or each built row's nonzero entries."""
+        """(weight, SparseState) pairs: those given, or each view row's nonzero entries."""
         return tuple((w, _frozen(SparseState, self.n_qubits, self.bits[row != 0], row[row != 0]))
                      for w, row in zip(self.weights, self.vectors))
 
@@ -390,19 +434,6 @@ class SpectralState:
 
 
 State = SparseState | SpectralState
-
-
-def _joint_support(
-    vectors: Sequence[tuple[np.ndarray, np.ndarray]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending union of the rows of (bits, amps) vectors, and V[a, j], vector a's
-    amplitude on union row j (0 where it has none)."""
-    bits = np.concatenate([b for b, _ in vectors])
-    _, first, where = np.unique(_keys(bits), return_index=True, return_inverse=True)
-    row = np.repeat(np.arange(len(vectors)), [len(amps) for _, amps in vectors])
-    v = np.zeros((len(vectors), len(first)), dtype=np.complex128)
-    v[row, where] = np.concatenate([amps for _, amps in vectors])
-    return bits[first], v
 
 
 # ----------------------------------------------------------------------
@@ -447,17 +478,15 @@ def evolve(state: State, config: ChainConfig, params: PhysParams) -> State:
 
     Each amplitude on bitstring I picks up exp(-i phase(I)) with
     phase(I) = gamma*B0*t*(N/2 - k(I)) + gamma*G*t*lambda_I, from one
-    _evolution_terms pass; eigenvector rows are phased one at a time, and
-    norms and weights are kept exactly.
+    _evolution_terms pass.  The evolution is diagonal, so a mixed state's
+    sector columns are phased row by row and m is kept.
     """
     phase, _ = _evolution_terms(state.bits, config, params)
     re, im = np.cos(phase), -np.sin(phase)
     if isinstance(state, SparseState):
         return _frozen(SparseState, state.n_qubits, state.bits, _cmul(state.amps, re, im))
-    vectors = np.empty_like(state.vectors)
-    for row, out in zip(state.vectors, vectors):
-        _cmul(row, re, im, out)
-    return _frozen(SpectralState, state.n_qubits, state.bits, vectors, state.weights)
+    return _frozen(SpectralState, state.n_qubits, state.bits, state.sector,
+                   _cmul(state.basis, re[:, None], im[:, None]), state.m)
 
 
 # ----------------------------------------------------------------------
@@ -553,13 +582,13 @@ def _product_bits(n: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# spectral assembly on excitation sectors (shared by the noise channel, the
-# Monte Carlo average and the twirl)
+# mixed states on excitation sectors (built by the noise channel, the Monte
+# Carlo average and the twirl)
 # ----------------------------------------------------------------------
 
-# Eigenvalues of a sector matrix in [-NEG_EVAL_TOL, _WEIGHT_DROP] are
-# numerical noise and are dropped; anything more negative is a real
-# positivity violation and raises.
+# Eigenvalues of a coefficient matrix in [-NEG_EVAL_TOL, _WEIGHT_DROP] are
+# numerical noise and are left out of the views; anything more negative is a
+# real positivity violation and raises.
 NEG_EVAL_TOL = 1e-10
 _WEIGHT_DROP = 1e-14
 _AMP_DROP = 1e-14
@@ -577,38 +606,23 @@ def _kept_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[keep], u[:, keep]
 
 
-def _spectral_rows(n_qubits: int, bits: np.ndarray, weights: Sequence[float],
-                   rows: Iterable[tuple[np.ndarray, np.ndarray]]) -> SpectralState:
-    """The state whose eigenvectors come one at a time from rows as (columns, entries) over
-    the ascending bits: each drops its entries at or below _AMP_DROP and is renormalized,
-    the weights are divided by their fsum, and bits no eigenvector keeps are left out."""
-    vectors = np.zeros((len(weights), len(bits)), dtype=np.complex128)
-    for out, (cols, row) in zip(vectors, rows):
-        keep = np.abs(row) > _AMP_DROP
-        kept = row[keep]
-        out[cols[keep]] = kept / math.sqrt(float(np.vdot(kept, kept).real))
-    used = (vectors != 0).any(axis=0)
-    if not used.all():
-        bits, vectors = bits[used], vectors[:, used]
-    total = math.fsum(weights)
-    return _frozen(SpectralState, n_qubits, bits, vectors, tuple(w / total for w in weights))
-
-
 def _sector_spectral(
     n_qubits: int, bits: np.ndarray, amps: np.ndarray, decay: Sequence[complex]
 ) -> SpectralState:
     """rho = sum_kl decay[l - k] sqrt(p_k p_l) |e_k><e_l| of a pure vector.
 
-    The vector (amps over the ascending rows bits) splits into unit sector
-    vectors e_k with masses p_k, one per occupied excitation count k (a
-    sector whose amplitudes are all 0 is left out); decay[dk] multiplies
-    the coherence between sectors dk apart and is conjugated for l < k.
-    The r x r matrix M_kl = decay[l - k] sqrt(p_k p_l) is diagonalized and
-    each eigenvector sum_k U_kc e_k is spread back over the rows, one at a
-    time, so the result has rank at most r <= n + 1 and costs O(r s).
+    The vector (amps over the ascending rows bits, rows with |amp|^2 = 0 left
+    out) splits into unit sector vectors e_k with masses p_k, one per occupied
+    excitation count k; decay[dk] multiplies the coherence between sectors dk
+    apart and is conjugated for l < k.  The state keeps each row's entry of
+    its e_k and M_kl = decay[l - k] sqrt(p_k p_l), r x r with r <= n + 1.
     """
+    prob = amps.real**2 + amps.imag**2
+    kept = prob != 0  # so every kept row's sector has a mass
+    if not kept.all():
+        bits, amps, prob = bits[kept], amps[kept], prob[kept]
     k = _excitations(bits)
-    mass = np.bincount(k, weights=amps.real**2 + amps.imag**2, minlength=n_qubits + 1)
+    mass = np.bincount(k, weights=prob, minlength=n_qubits + 1)
     occupied = np.flatnonzero(mass)
     root = np.sqrt(mass[occupied])
     gap = occupied[None, :] - occupied[:, None]  # l - k
@@ -618,7 +632,6 @@ def _sector_spectral(
     scale[occupied] = 1.0 / root
     unit = amps * scale[k]  # each row's entry of its sector's e_k
     sector = (np.cumsum(mass > 0) - 1)[k]  # its index among the occupied sectors
-    w, u = _kept_spectrum(m)
-    everywhere = np.arange(len(bits))
-    rows = ((everywhere, u[sector, c] * unit) for c in range(len(w)))
-    return _spectral_rows(n_qubits, bits, w.tolist(), rows)
+    state = _frozen(SpectralState, n_qubits, bits, sector, unit[:, None], m)
+    state._spectrum  # M's one eigh: refuses an M that is not positive, kept for the views
+    return state

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChainConfig, PhysParams, State, _cmul, _evolution_terms, _keys, _product_bits
+from .core import (ChainConfig, PhysParams, SparseState, State, _cmul, _evolution_terms, _keys,
+                   _product_bits)
 from .errors import DimensionTooLarge, FlatResponse, OutOfRange, SelfCheckFailed
 from .qfi import FisherReport, _seq_sum
 
@@ -104,26 +105,32 @@ def _complement_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _parity_value_and_gradient(
     state: State, config: ChainConfig, params: PhysParams
 ) -> tuple[float, float]:
-    """(<sigma_x^(x)N>, d/dG of it) on the evolved state.
+    """(<sigma_x^(x)N>, d/dG of it) on the evolved state, in one pass over the rows.
 
-    The contraction pairs each bitstring with its complement:
-    <X^N> = sum_I conj(a'_comp(I)) a'_I; differentiating the evolution
-    phases gives the exact gradient term -2i gamma t lambda_I per pair.
+    The contraction pairs each bitstring with its complement: <X^N> is the sum
+    of rho'_{I, comp(I)} = a'_I conj(a'_comp(I)), or sum_ab q'_a(I) m[a, b]
+    conj(q'_b(comp(I))) on a mixed state's sector columns; differentiating the
+    evolution phases gives the exact gradient term -2i gamma t lambda_I per pair.
     """
     gt = params.gamma * params.t
     phase, lam = _evolution_terms(state.bits, config, params)
+    re, im = np.cos(phase), -np.sin(phase)
     paired, at = _complement_rows(state.bits)
-    value = grad = 0.0
-    # an eigenvector's zero entries add exact zeros to its in-order sums
-    for weight, row in zip(state.weights, state.vectors):
-        amps = _cmul(row, np.cos(phase), -np.sin(phase))
+    if isinstance(state, SparseState):
+        amps = _cmul(state.amps, re, im)
         partner, amps = amps[at], amps[paired]
         term = _cmul(amps, partner.real, -partner.imag)
-        # the real part of _cmul(term, 0.0, -2 gt lambda), rounded as _cmul rounds it
-        dterm = term.real * 0.0 - term.imag * ((-2.0 * gt) * lam[paired])
-        value += weight * _seq_sum(term.real)
-        grad += weight * _seq_sum(dterm)
-    return value, grad
+    else:
+        width = state.basis.shape[1]
+        q = _cmul(state.basis, re[:, None], im[:, None])
+        row, col = state.sector[paired] * width, state.sector[at] * width
+        term = 0.0
+        for a, b in np.ndindex(width, width):
+            coef, other = state.m[row + a, col + b], q[at, b]
+            term = term + _cmul(_cmul(q[paired, a], coef.real, coef.imag), other.real, -other.imag)
+    # the real part of _cmul(term, 0.0, -2 gt lambda), rounded as _cmul rounds it
+    dterm = term.real * 0.0 - term.imag * ((-2.0 * gt) * lam[paired])
+    return _seq_sum(term.real), _seq_sum(dterm)
 
 
 def parity_expectation(state: State, config: ChainConfig, params: PhysParams) -> float:

@@ -8,11 +8,9 @@ Gaussian with variance gamma'^2 C(t), so averaging over realizations
 multiplies each density-matrix element rho_IJ by a coherence factor that
 depends only on the excitation difference |k(I) - k(J)|.
 
-So the channel, the twirl and the Monte Carlo average build their output
-on excitation sectors: for a pure input only an r x r matrix, one row per
-occupied sector, is diagonalized (core._sector_spectral), and its r
-eigenvectors become, one at a time, the dense rows of an r x s matrix over
-the input's s rows: rank r <= n + 1 at a cost of O(r s).
+So the channel, the twirl and the Monte Carlo average hold their output on
+excitation sectors (core.SpectralState), rho = sum_kl M_kl |e_k><e_l| with e_k
+the input's unit vector on sector k, and set or mask entries of the r x r M.
 
 Monte Carlo here is an oracle for the analytic channel: each trajectory
 takes one exact joint-Gaussian step of (dE, integral dE) from a stationary
@@ -29,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ChainConfig, PhysParams, SparseState, SpectralState, State, _excitations, _frozen,
-    _kept_spectrum, _sector_spectral, _spectral_rows, evolve,
+    ChainConfig, PhysParams, SparseState, SpectralState, State, _frozen, _sector_spectral, evolve,
 )
 from .errors import NegativeTime, OutOfRange, ZeroTrajectories
 
@@ -132,10 +129,10 @@ def coherence_factor(model: NoiseModel, t: float, weight: int | float) -> float:
 def apply_channel(state: SparseState, model: NoiseModel, t: float) -> SpectralState:
     """Average over noise realizations at time t (no gradient encoding).
 
-    Multiplies rho_IJ by coherence_factor(|k_I - k_J|).  The output is
-    built on the input's excitation sectors (core._sector_spectral), so its
-    rank is at most the number of occupied sectors.  t = inf gives the
-    steady state (all cross-sector coherences gone).
+    Multiplies rho_IJ by coherence_factor(|k_I - k_J|): on the input's
+    excitation sectors that is M_kl = d_|k-l| sqrt(p_k p_l)
+    (core._sector_spectral), so its rank is at most the number of occupied
+    sectors.  t = inf gives the steady state (all cross-sector coherences gone).
     """
     if not isinstance(state, SparseState):
         raise OutOfRange("apply_channel takes a pure SparseState input")
@@ -146,32 +143,19 @@ def apply_channel(state: SparseState, model: NoiseModel, t: float) -> SpectralSt
 def steady_twirl(state: State) -> SpectralState:
     """Project onto the excitation sectors (the t -> infinity dephasing limit).
 
-    Removes every coherence between different J_z sectors; the output
-    commutes with J_z exactly (each eigenvector lives in one sector), and
-    its rank is at most the number of occupied sectors times the input's
-    rank.  A pure input keeps one vector per sector.  For a mixture, the
-    sector columns of the eigenvector rows that touch the sector are the
-    columns of A = QR (thin QR), so the sector block A W A^dagger is
-    R W R^dagger over the orthonormal columns of Q, and only that small
-    matrix is diagonalized.  Idempotent: twirling a twirled state returns
-    it unchanged.
+    Removes every coherence between different J_z sectors: a pure input
+    keeps one vector per sector, and a mixed one keeps the blocks of its
+    coefficient matrix m between columns of the same sector, on the same
+    sector columns.  The output commutes with J_z exactly (each eigenvector
+    lives in one sector).  Idempotent: twirling a twirled state returns it
+    unchanged.
     """
-    n = state.n_qubits
-    if len(state.weights) == 1:
-        return _sector_spectral(n, state.bits, state.vectors[0], [1.0] + [0.0] * n)
-    k = _excitations(state.bits)
-    blocks, kept = [], []  # per occupied sector: its columns, Q and the kept eigenvectors
-    for sector in np.flatnonzero(np.bincount(k)).tolist():
-        cols = np.flatnonzero(k == sector)
-        part = state.vectors[:, cols]
-        present = (part != 0).any(axis=1)  # the eigenvectors that reach the sector
-        if present.any():
-            q, r = np.linalg.qr(part[present].T)
-            w, u = _kept_spectrum((r * np.array(state.weights)[present]) @ r.conj().T)
-            blocks.append((cols, q, u))
-            kept += w.tolist()
-    rows = ((cols, q @ u[:, c]) for cols, q, u in blocks for c in range(u.shape[1]))
-    return _spectral_rows(n, state.bits, kept, rows)
+    if isinstance(state, SparseState):
+        return _sector_spectral(state.n_qubits, state.bits, state.amps,
+                                [1.0] + [0.0] * state.n_qubits)
+    block = np.arange(len(state.m)) // state.basis.shape[1]  # each column's sector
+    m = np.where(block[:, None] == block[None, :], state.m, 0.0)  # positive, as state.m is
+    return _frozen(SpectralState, state.n_qubits, state.bits, state.sector, state.basis, m)
 
 
 # ----------------------------------------------------------------------
@@ -275,9 +259,8 @@ def mc_trajectory_average(
     n = state.n_qubits
     model = NoiseModel.from_params(params)
     evolved = evolve(state, config, params)
-    if params.t == 0.0 or model.delta_e == 0.0 or model.gamma_prime == 0.0:
-        # noise-free: the average is the evolved pure state itself
-        return _frozen(SpectralState, n, evolved.bits, evolved.vectors, evolved.weights)
-    char = _char_function(ens.seed, ens.n_traj, params.t, model, params.gamma_prime, n)
+    noisy = params.t != 0.0 and model.delta_e != 0.0 and model.gamma_prime != 0.0
+    char = (_char_function(ens.seed, ens.n_traj, params.t, model, params.gamma_prime, n)
+            if noisy else [1.0] * (n + 1))  # noise-free: no trajectory is drawn
     # element (I, J) picks up char[k_J - k_I], conjugated when k_J < k_I
     return _sector_spectral(n, evolved.bits, evolved.amps, char)

@@ -6,10 +6,10 @@ the Cramer-Rao variance bound on an unbiased single-shot estimate.
 
 One spectral evaluator plus closed forms:
 
-* qfi_general: the spectral formula on the state's own rows and
-  eigenvector matrix, exact for any pure or mixed state, with no cap on
-  the qubit count (O(r^2 s) for rank r on s basis states).
-* qfi_pure: its rank-1 case, 4 * variance of the generator.
+* qfi_general: exact for any pure or mixed state, with no cap on the qubit
+  count: 4 * variance of the generator, or the SLD formula with
+  d rho = -i [H_G, rho] on a mixed state's sector columns (O(s + r^3)).
+* qfi_pure: its pure case, which refuses mixtures.
 * closed forms for the standard probe families (GHZ, product, optimal
   decoherence-free states, Dicke, dephased GHZ, steady-state product),
   each O(n) in the chain size.
@@ -24,12 +24,12 @@ import numpy as np
 
 from . import noise as _noise
 from .core import (
-    ChainConfig, PhysParams, SparseState, State, _excitations, make_named_state,
+    ChainConfig, PhysParams, SparseState, SpectralState, State, _excitations, make_named_state,
 )
 from .errors import LengthMismatch, OutOfRange
 
-# Relative spectral-gap cutoff: eigenvalue pairs with combined weight at
-# or below this fraction of the largest weight do not contribute.
+# Relative cutoff: eigenvalue pairs of a mixed state's coefficient matrix with
+# combined weight at or below this fraction of the largest do not contribute.
 EIGEN_GAP_EPS = 1e-12
 
 
@@ -67,57 +67,73 @@ def _fisher_value(value: float) -> float:
 
 
 def _spectral_qfi(state: State, config: ChainConfig, params: PhysParams) -> float:
-    """QFI of rho = sum_a w_a |a><a| for H_G: _spectral_core on the state's stored arrays."""
+    """QFI of a pure state (_spectral_core) or a mixed one (_sector_qfi) for H_G."""
     if state.n_qubits != config.n:
         raise LengthMismatch(f"state has {state.n_qubits} qubits but chain has {config.n}")
+    gt = params.gamma * params.t
     with np.errstate(over="ignore"):  # inf on overflow, as float arithmetic
-        return _spectral_core(state.bits, state.vectors, state.weights, config.f_array,
-                              params.gamma * params.t)
+        if isinstance(state, SparseState):
+            return _spectral_core(state.bits, state.amps, config.f_array, gt)
+        return _sector_qfi(state, config.f_array, gt)
 
 
-def _spectral_core(excited: np.ndarray, v: np.ndarray, weights: list[float],
-                   f: np.ndarray, gt: float) -> float:
-    """The spectral QFI from the (s, n) support bits, V (r eigenvectors as rows
-    over the s support states), the r weights, the profile f and gamma t.
-
-    H_ab = sum_I conj(V_aI) lambda_I V_bI, and the value is
-
-        (gamma t)^2 [ sum_ab 2 (w_a - w_b)^2 / (w_a + w_b) |H_ab|^2
-                      + 4 sum_a w_a || H|a> - sum_b H_ba |b> ||^2 ],
-
-    the spectral formula with the kernel of rho summed in closed form (the
-    second term), over pairs with w_a + w_b above EIGEN_GAP_EPS * max(w).
-    The kernel term is an elementwise residual, so a nearly pure spectrum
-    carrying little information does not cancel.  The cost is O(r^2 s).
+def _spectral_core(excited: np.ndarray, amps: np.ndarray, f: np.ndarray, gt: float) -> float:
+    """(gamma t)^2 4 Var(H_G) of a pure state from its (s, n) support bits, its amplitudes,
+    the profile f and gamma t: 4 || H|a> - <a|H|a> |a> ||^2, an elementwise residual, so a
+    state carrying little information does not cancel.
 
     H_G = (1/2) sum_i f_i - sum_i f_i n_i with n_i the excitation of qubit
     i, and the QFI ignores a constant and the sign of the generator, so
     lambda_I = sum_{i excited} (f_i - c) + c (k_I - k_0), with c = mean(f)
-    and k_0 the excitation count of the first eigenvector's first row.  On
-    a chain far from x0 the large c-term is then exactly zero within one
+    and k_0 the excitation count of the first row with a nonzero amplitude.
+    On a chain far from x0 the large c-term is then exactly zero within one
     excitation sector instead of cancelling in floating point.
     """
+    v = amps[None, :]
     c = float(f.mean())
     k = _excitations(excited)
     # einsum casts the boolean matrix in buffered chunks, never all at once
     lam = np.einsum("ij,j->i", excited, f - c) + c * (k - k[np.argmax(v[0] != 0)])
-
     hv = v * lam
-    h = hv @ v.conj().T  # h[a, b] = <b|H_G|a>
-    hv -= h @ v  # now the part of H_G|a> outside the span of the eigenvectors
+    hv -= (hv @ v.conj().T) @ v  # now the part of H_G|a> outside the state
     resid = hv.view(np.float64)
-    resid_norm2 = np.einsum("ij,ij->i", resid, resid).tolist()
-    h2 = (h.real**2 + h.imag**2).tolist()
-    # the O(r^2) pair sum in plain Python: small next to the O(r^2 s) products
-    cutoff = EIGEN_GAP_EPS * max(weights)
-    total = 0.0
-    for a, wa in enumerate(weights):
-        if wa > cutoff:
-            total += 4.0 * wa * resid_norm2[a]
-        for b, wb in enumerate(weights):
-            if wa + wb > cutoff and wa != wb:  # wa = wb: a zero factor, and 0 * inf is nan
-                total += 2.0 * (wa - wb) ** 2 / (wa + wb) * h2[a][b]
-    return gt * gt * total
+    return gt * gt * (4.0 * np.einsum("ij,ij->i", resid, resid).tolist()[0])
+
+
+def _sector_qfi(state: SpectralState, f: np.ndarray, gt: float) -> float:
+    """QFI of rho = sum_gh m_gh |q_g><q_h| on its sector columns q_g (see SpectralState):
+
+        (gamma t)^2 [ 2 sum_ab |(U^dagger [h, m] U)_ab|^2 / (w_a + w_b) + 4 tr(m G) ]
+
+    with m = U diag(w) U^dagger, over pairs with w_a + w_b above EIGEN_GAP_EPS
+    * max(w): the SLD formula with d rho = -i [H_G, rho] (Liu et al., J. Phys.
+    A 53, 023001 (2020)).  h_gh = <q_g|mu - mu_k|q_h> + (mu_k + c (k - k_0))
+    delta_gh is H_G on the columns, mu_I = sum_{i excited} (f_i - c), c = mean(f),
+    mu_k mu on one row of sector k; G_gh = <r_g|r_h> for the residuals
+    r_g = (mu - mu_k) q_g - sum_h q_h h_hg, which no sector constant enters.
+    A coherence of m is a factor, never a difference of eigen-weights.
+    """
+    basis, m, width = state.basis, state.m, state.basis.shape[1]
+    cols = (state.sector * width)[:, None, None] + np.arange(width)[:, None]  # g = k w + a
+    at = (cols, cols.swapaxes(1, 2))  # (row, a, b) -> (g_a, g_b)
+    c = float(f.mean())
+    k = _excitations(state.bits)
+    mu = np.einsum("ij,j->i", state.bits, f - c)
+    some = np.empty(len(m) // width, dtype=np.intp)
+    some[state.sector] = np.arange(len(mu))  # one row of each sector
+    shift = mu[some]
+    mu -= shift[state.sector]
+    h, gram = np.zeros((2, len(m), len(m)), dtype=np.complex128)
+    np.add.at(h, at, basis.conj()[:, :, None] * (mu[:, None] * basis)[:, None, :])
+    resid = mu[:, None] * basis - np.einsum("ia,iab->ib", basis, h[at])
+    np.add.at(gram, at, resid.conj()[:, :, None] * resid[:, None, :])
+    h += np.diag(np.repeat(shift + c * (k[some] - k[0]), width))
+    w, u = np.linalg.eigh(m)
+    commutator = u.conj().T @ (h @ m - m @ h) @ u
+    pair = w[:, None] + w[None, :]
+    keep = pair > EIGEN_GAP_EPS * w.max()
+    total = 2.0 * float((np.abs(commutator[keep]) ** 2 / pair[keep]).sum())
+    return gt * gt * (total + 4.0 * float((m * gram.T).sum().real))
 
 
 def qfi_general(state: State, config: ChainConfig, params: PhysParams) -> FisherReport:
@@ -131,7 +147,7 @@ def qfi_general(state: State, config: ChainConfig, params: PhysParams) -> Fisher
 
 
 def qfi_pure(state: SparseState, config: ChainConfig, params: PhysParams) -> FisherReport:
-    """QFI of a pure state, (gamma t)^2 * 4 Var(H_G): the rank-1 case of qfi_general."""
+    """QFI of a pure state, (gamma t)^2 * 4 Var(H_G): the pure case of qfi_general."""
     if not isinstance(state, SparseState):
         raise OutOfRange("qfi_pure takes a pure SparseState; use qfi_general for mixtures")
     return FisherReport(_spectral_qfi(state, config, params), "pure-variance")
@@ -242,6 +258,8 @@ def qfi_noisy_psim(config: ChainConfig, params: PhysParams, m: int) -> FisherRep
     The two branches differ by N - 2m excitations, so the coherence
     decays with weight |N - 2m|:
     value = d_m(t)^2 (gamma t)^2 (sum_i |f_i|)^2.
+    This assumes that m counts the qubits with f_i <= 0 (qfi_max_entangled's
+    flip); at other m the branch gap is sum_i s_i f_i, s_i = -1 on the m flipped.
     """
     n = config.n
     if not 0 <= m <= n:

@@ -444,7 +444,7 @@ def sweep_fig5(
     params = PhysParams(gamma=gamma_t, t=1.0)
     _check_length(length)
     gt, gt2 = params.gamma * params.t, _gt2(params)
-    ghz_amps = np.full((1, 2), 1.0 / math.sqrt(2.0), dtype=np.complex128)  # V of the GHZ
+    ghz_amps = np.full(2, 1.0 / math.sqrt(2.0), dtype=np.complex128)
     columns = ("n", "ghz", "product") if tag == "a" else (
         "n", "odf-half", "dicke-half", "w", "steady-product"
     )
@@ -455,7 +455,7 @@ def sweep_fig5(
             if tag == "a":
                 ghz_bits = np.zeros((2, n), dtype=bool)  # |0..0> and |1..1>
                 ghz_bits[1] = True
-                values = (_spectral_core(ghz_bits, ghz_amps, [1.0], f, gt), _separable(gt2, f))
+                values = (_spectral_core(ghz_bits, ghz_amps, f, gt), _separable(gt2, f))
             else:
                 centred = f - f.mean()
                 spread = _spread(centred)

@@ -295,8 +295,12 @@ def reference_normalized(pairs):
     return [(w / total, vec) for w, vec in pairs]
 
 
-def reference_sector_pairs(n, bits, amps, decay):
-    """Eigenpairs of sum_kl decay[l - k] sqrt(p_k p_l) |e_k><e_l|, one SparseState each."""
+def reference_sector_form(n, bits, amps, decay):
+    """sum_kl decay[l - k] sqrt(p_k p_l) |e_k><e_l| on the sector vectors e_k of a pure
+    vector: (its rows with |amplitude|^2 > 0, each row's sector index, its entry of
+    e_k, the r x r matrix M)."""
+    nonzero = amps.real**2 + amps.imag**2 != 0
+    bits, amps = bits[nonzero], amps[nonzero]
     k = core._excitations(bits)
     mass = np.bincount(k, weights=amps.real**2 + amps.imag**2, minlength=n + 1)
     occupied = np.flatnonzero(mass)
@@ -309,15 +313,68 @@ def reference_sector_pairs(n, bits, amps, decay):
     unit = amps * scale[k]
     sector = np.zeros(n + 1, dtype=np.intp)
     sector[occupied] = np.arange(len(occupied))
-    sector = sector[k]
+    return bits, sector[k], unit, m
+
+
+def reference_form_pairs(n, form):
+    """Eigenpairs of a sector form, one SparseState each: eigenvector c of M spread as
+    U[sector, c] * unit, its small entries dropped and the rest renormalized."""
+    bits, sector, unit, m = form
     w, u = core._kept_spectrum(m)
     vectors = (reference_unit_state(n, bits, u[sector, c] * unit) for c in range(len(w)))
     return reference_normalized(list(zip(w.tolist(), vectors)))
 
 
-def reference_channel_pairs(state, model, t):
+def reference_sector_pairs(n, bits, amps, decay):
+    """Eigenpairs of sum_kl decay[l - k] sqrt(p_k p_l) |e_k><e_l|, one SparseState each."""
+    return reference_form_pairs(n, reference_sector_form(n, bits, amps, decay))
+
+
+def reference_channel_form(state, model, t):
     decay = [gradqfi.coherence_factor(model, t, dk) for dk in range(state.n_qubits + 1)]
-    return reference_sector_pairs(state.n_qubits, state.bits, state.amps, decay)
+    return reference_sector_form(state.n_qubits, state.bits, state.amps, decay)
+
+
+def reference_twirl_form(form):
+    """The sector projection of a sector form: M without its off-diagonal entries."""
+    bits, sector, unit, m = form
+    return bits, sector, unit, np.where(np.eye(len(m), dtype=bool), m, 0.0)
+
+
+def reference_evolve_form(form, config, params):
+    """A sector form evolved: each row's entry phased, M kept."""
+    bits, sector, unit, m = form
+    phase, _ = core._evolution_terms(bits, config, params)
+    return bits, sector, core._cmul(unit, np.cos(phase), -np.sin(phase)), m
+
+
+def reference_form_parity(form, config, params):
+    """Parity value and gradient of a sector form, row by row in ascending order in
+    Python complex arithmetic: rho'_{I, comp I} = (e'_I M[k_I, k_comp I]) conj(e'_comp I),
+    each complex product written out as CPython rounds it."""
+    def times(x, re, im):
+        return complex(x.real * re - x.imag * im, x.real * im + x.imag * re)
+
+    bits, sector, unit, m = reference_evolve_form(form, config, params)
+    _, lam = core._evolution_terms(bits, config, params)
+    gt = params.gamma * params.t
+    q, m = unit.tolist(), m.astype(complex).tolist()
+    rows = ["".join("01"[b] for b in row) for row in bits.tolist()]
+    where = {row: j for j, row in enumerate(rows)}
+    flip = str.maketrans("01", "10")
+    value = grad = 0.0
+    for i, row in enumerate(rows):
+        j = where.get(row.translate(flip))
+        if j is not None:
+            coef = m[sector[i]][sector[j]]
+            term = 0j + times(times(q[i], coef.real, coef.imag), q[j].real, -q[j].imag)
+            value += term.real
+            grad += term.real * 0.0 - term.imag * ((-2.0 * gt) * float(lam[i]))
+    return value, grad
+
+
+def reference_channel_pairs(state, model, t):
+    return reference_form_pairs(state.n_qubits, reference_channel_form(state, model, t))
 
 
 def reference_first_appearance_support(vectors):
@@ -361,15 +418,20 @@ def reference_twirl_pairs(n, pairs):
     return reference_normalized(out)
 
 
+def reference_mc_form(state, config, params, ens):
+    """The trajectory average's sector form from reference_char_function."""
+    evolved = gradqfi.evolve(state, config, params)
+    char = [1.0] * (state.n_qubits + 1)
+    if params.t != 0.0 and params.delta_e != 0.0 and params.gamma_prime != 0.0:
+        model = gradqfi.NoiseModel.from_params(params)
+        char = reference_char_function(ens.seed, ens.n_traj, params.t, model,
+                                       params.gamma_prime, state.n_qubits)
+    return reference_sector_form(state.n_qubits, evolved.bits, evolved.amps, char)
+
+
 def reference_mc_pairs(state, config, params, ens):
     """The trajectory average's eigenpairs from reference_char_function."""
-    evolved = gradqfi.evolve(state, config, params)
-    if params.t == 0.0 or params.delta_e == 0.0 or params.gamma_prime == 0.0:
-        return [(1.0, evolved)]
-    model = gradqfi.NoiseModel.from_params(params)
-    char = reference_char_function(ens.seed, ens.n_traj, params.t, model, params.gamma_prime,
-                                   state.n_qubits)
-    return reference_sector_pairs(state.n_qubits, evolved.bits, evolved.amps, char)
+    return reference_form_pairs(state.n_qubits, reference_mc_form(state, config, params, ens))
 
 
 def reference_evolve_pairs(pairs, config, params):
@@ -472,6 +534,14 @@ def random_mixture(rng, n, rank):
         )
         pairs.append((float(weights[r]), SparseState.from_terms(n, terms)))
     return SpectralState(n, tuple(pairs))
+
+
+def params_with_coherence(d, weight, **params):
+    """PhysParams (gamma_prime = tau_c = 1) whose delta_e makes the coherence factor of a
+    J_z weight at time t (default 1) about d: exp(-w^2 delta_e^2 (e^-t + t - 1)) = d."""
+    t = params.setdefault("t", 1.0)
+    delta_e = math.sqrt(-math.log(d) / (weight * weight * (math.expm1(-t) + t)))
+    return PhysParams(gamma_prime=1.0, tau_c=1.0, delta_e=delta_e, **params)
 
 
 def rel_dev(a, b, floor=1e-300):

@@ -10,8 +10,11 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import cli_env
-from gradqfi import PhysParams, ValidationError, make_chain, measurement, qfi_dfs_subspace
+from conftest import cli_env, rel_dev
+from gradqfi import (
+    FisherReport, NoiseModel, PhysParams, ValidationError, apply_channel, make_chain,
+    make_named_state, measurement, qfi_dfs_subspace, qfi_general,
+)
 from gradqfi import cli
 from gradqfi.cli import _COMMANDS, _FLAGS, RunConfig, build_parser, emit_csv, main
 
@@ -293,6 +296,56 @@ def test_an_overflowing_value_is_one_named_error_line(argv, message, tmp_path, m
         assert main(list(argv)) == 1
     assert capsys.readouterr() == ("", message)
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ("cfi", "--state", "ghz", "--n", "20", "--length", "1e200", "--grad", "0.4"),
+    ("cfi", "--scenario", "noisy", "--state", "dicke", "--k", "4", "--n", "8",
+     "--length", "1e200", "--grad", "0.4", "--delta-e", "0.7"),
+    ("cfi", "--observable", "jx", "--state", "ghz", "--n", "8", "--length", "1e200",
+     "--grad", "0.4"),
+], ids=lambda argv: "_".join(argv))
+def test_an_overflowing_cfi_is_one_named_error_line(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(list(argv)) == 1
+    n = argv[argv.index("--n") + 1]
+    assert capsys.readouterr() == ("", _overflow("closed-form:cfi", n))
+    assert not list(tmp_path.iterdir())
+
+
+def test_a_divergent_cfi_still_prints_its_infinite_value(monkeypatch, capsys):
+    def divergent(dist):
+        return FisherReport(math.inf, "closed-form:cfi", divergent=True)
+
+    monkeypatch.setattr(cli, "classical_fisher", divergent)
+    assert main(["cfi", "--state", "ghz", "--n", "4"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["value"] == math.inf and payload["crb_variance"] == 0.0
+
+
+def _printed_value(capsys, *argv):
+    assert main([str(a) for a in argv]) == 0
+    return json.loads(capsys.readouterr().out)["value"]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_noisy_psi_m_reports_the_gap_of_the_branches_it_flips(n, capsys):
+    # noise-free it is the known-b0 value at every m, not only at the sign split;
+    # with noise it is the QFI of the dephased probe
+    point = ("--n", n, "--t", "0.8", "--length", "2", "--x0=0.6", "--grad", "0.4")
+    for m in range(n + 1):
+        probe = ("qfi", "--state", "psi-m", "--m", m, *point)
+        clean = _printed_value(capsys, *probe, "--scenario", "noisy", "--delta-e", "0")
+        assert rel_dev(clean, _printed_value(capsys, *probe, "--delta-e", "0")) < 1e-12, m
+        noisy = (*probe, "--scenario", "noisy", "--delta-e", "0.7")
+        cfg = resolved(*noisy)
+        params = cfg.params()
+        model = NoiseModel.from_params(params)
+        state = apply_channel(make_named_state("psi-m", n, m=m), model, params.t)
+        want = qfi_general(state, cfg.chain(), params).value
+        assert rel_dev(_printed_value(capsys, *noisy), want) < 1e-12, m
 
 
 def test_the_jx_cap_is_checked_before_any_state_is_built(monkeypatch, capsys):

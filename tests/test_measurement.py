@@ -33,6 +33,7 @@ from gradqfi.core import SparseState, SpectralState, _cmul, _evolution_terms
 
 from conftest import (
     oracle_parity,
+    params_with_coherence,
     random_chain,
     random_mixture,
     random_params,
@@ -145,6 +146,8 @@ def test_parity_readout_matches_the_evolved_state_far_from_x0(n, offset):
 def _dict_paired_parity(state, chain, params):
     """Parity value and gradient with each complement found by a dict lookup
     on bitstrings, summed row by row with the readout's arithmetic."""
+    if isinstance(state, SpectralState):
+        return _dict_paired_sector_parity(state, chain, params)
     gt = params.gamma * params.t
     flip = str.maketrans("01", "10")
     value = grad = 0.0
@@ -165,6 +168,38 @@ def _dict_paired_parity(state, chain, params):
             d_sum += re * 0.0 - im * ((-2.0 * gt) * float(lam[i]))
         value += weight * v_sum
         grad += weight * d_sum
+    return value, grad
+
+
+def _times(x, re, im):
+    """x * complex(re, im), each part written out as CPython's complex product rounds it."""
+    return complex(x.real * re - x.imag * im, x.real * im + x.imag * re)
+
+
+def _dict_paired_sector_parity(state, chain, params):
+    """The same on a mixed state's sector columns, in Python complex arithmetic:
+    rho'_{I, comp I} = sum_ab (q'_a(I) m[a, b]) conj(q'_b(comp I)), row by row."""
+    gt = params.gamma * params.t
+    flip = str.maketrans("01", "10")
+    phase, lam = _evolution_terms(state.bits, chain, params)
+    q = _cmul(state.basis, np.cos(phase)[:, None], -np.sin(phase)[:, None]).tolist()
+    m = state.m.astype(complex).tolist()
+    width = state.basis.shape[1]
+    rows = ["".join("01"[b] for b in row) for row in state.bits.tolist()]
+    where = {bits: j for j, bits in enumerate(rows)}
+    value = grad = 0.0
+    for i, bits in enumerate(rows):
+        j = where.get(bits.translate(flip))
+        if j is None:
+            continue
+        term = 0j
+        for a in range(width):
+            for b in range(width):
+                coef = m[int(state.sector[i]) * width + a][int(state.sector[j]) * width + b]
+                partner = q[j][b]
+                term += _times(_times(q[i][a], coef.real, coef.imag), partner.real, -partner.imag)
+        value += term.real
+        grad += term.real * 0.0 - term.imag * ((-2.0 * gt) * float(lam[i]))
     return value, grad
 
 
@@ -598,3 +633,22 @@ def test_mixture_cfi_upper_bounded_by_general_qfi():
     qfi = qfi_general(state, chain, params).value
     cfi = classical_fisher(parity_distribution(state, chain, params)).value
     assert cfi <= qfi * (1 + 1e-9) + 1e-12
+
+
+@pytest.mark.parametrize("d", [1e-2, 1e-6, 1e-10, 1e-15, 1e-20, 1e-30, 1e-40])
+def test_strongly_dephased_ghz_parity_cfi_keeps_its_coherence(d):
+    # <X^N> = d cos(alpha): CFI = (d sin(alpha) gamma t sum f)^2 / (1 - d^2 cos^2(alpha))
+    rng = np.random.default_rng(2203)
+    n = 8
+    chain = make_chain(np.sort(rng.uniform(-1.0, 1.0, size=n)) + 0.6, x0=0.0)
+    params = params_with_coherence(d, n, gamma=1.1, b0=0.05, grad=0.3)
+    state = apply_channel(make_named_state("ghz", n), NoiseModel.from_params(params), params.t)
+    sum_f = math.fsum(chain.f_values)
+    gt = params.gamma * params.t
+    alpha = n * gt * params.b0 + gt * params.grad * sum_f
+    coherence = coherence_factor(NoiseModel.from_params(params), params.t, n)
+    want = (coherence * math.sin(alpha) * gt * sum_f) ** 2
+    want /= 1.0 - (coherence * math.cos(alpha)) ** 2
+    got = classical_fisher(parity_distribution(state, chain, params)).value
+    assert want > 0.0
+    assert rel_dev(got, want) < 1e-12

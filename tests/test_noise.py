@@ -34,12 +34,19 @@ from gradqfi import (
 from conftest import (
     dense_rho,
     random_chain,
+    reference_channel_form,
     reference_channel_pairs,
     reference_char_function,
+    reference_evolve_form,
     reference_evolve_pairs,
+    reference_form_pairs,
+    reference_form_parity,
     reference_jx,
+    reference_mc_form,
     reference_mc_pairs,
     reference_parity,
+    reference_sector_form,
+    reference_twirl_form,
     reference_twirl_pairs,
     random_mixture,
     random_params,
@@ -273,12 +280,43 @@ def test_a_sector_whose_amplitudes_are_all_zero_is_dropped():
         np.testing.assert_allclose(dense_rho(out), np.diag([0.36, 0.0, 0.0, 0.64]), atol=1e-12)
 
 
+def test_a_row_whose_probability_underflows_joins_no_sector():
+    # 1e-170 squares to 0, so sector 1 has no mass: the row is left out with it
+    tiny = SparseState.from_terms(2, [("00", 0.6), ("01", 1e-170), ("11", 0.8)])
+    clean = SparseState.from_terms(2, [("00", 0.6), ("11", 0.8)])
+    chain = make_chain([-1e4, 1e4 + 1.0])
+    params = PhysParams(grad=0.3, t=0.7)
+    for build in (lambda state: apply_channel(state, MODEL, 0.5), steady_twirl):
+        got, want = build(tiny), build(clean)
+        assert got.bits.tobytes() == want.bits.tobytes()
+        assert qfi_general(got, chain, params).value == qfi_general(want, chain, params).value
+
+
 def _pairs_bytes(pairs):
     return [(float(w).hex(), vec.bits.tobytes(), vec.amps.tobytes()) for w, vec in pairs]
 
 
+def _pairs_rho(pairs):
+    """The ascending rows of the pairs' joint support and rho over them."""
+    rows = sorted({bits for _, vec in pairs for bits, _ in vec.terms})
+    index = {bits: j for j, bits in enumerate(rows)}
+    v = np.zeros((len(pairs), len(rows)), dtype=complex)
+    for row, (_, vec) in zip(v, pairs):
+        for bits, amp in vec.terms:
+            row[index[bits]] = amp
+    return rows, (v.T * [w for w, _ in pairs]) @ v.conj()
+
+
+def _assert_same_rho(got, want):
+    got_rows, got_rho = _pairs_rho(got)
+    want_rows, want_rho = _pairs_rho(want)
+    assert got_rows == want_rows
+    np.testing.assert_allclose(got_rho, want_rho, rtol=0.0, atol=1e-12)
+
+
 def _one_form_cases(rng, n, chain, params):
-    """(state the library built, its eigenpairs built one eigenvector at a time)."""
+    """(state the library built, its reference sector form, its eigenpairs built one
+    eigenvector at a time, whether those pairs must match the state's by bytes)."""
     ens = TrajectoryEnsemble(n_traj=64, seed=n)
     # a row with amplitude 0 in an occupied sector: no eigenvector keeps it
     rows = ("0" * n, "0" * (n - 1) + "1", "1" + "0" * (n - 1), "1" * n)
@@ -286,30 +324,47 @@ def _one_form_cases(rng, n, chain, params):
     for probe in (make_named_state("product", n), make_named_state("ghz", n), holed,
                   make_named_state("dicke", n, k=n // 2), random_sparse(rng, n, min(1 << n, 12))):
         for t in (0.05, 0.8, 50.0, math.inf):
-            yield apply_channel(probe, MODEL, t), reference_channel_pairs(probe, MODEL, t)
+            yield (apply_channel(probe, MODEL, t), reference_channel_form(probe, MODEL, t),
+                   reference_channel_pairs(probe, MODEL, t), True)
         yield (mc_trajectory_average(probe, chain, params, ens),
-               reference_mc_pairs(probe, chain, params, ens))
-        yield steady_twirl(probe), reference_twirl_pairs(n, [(1.0, probe)])
+               reference_mc_form(probe, chain, params, ens),
+               reference_mc_pairs(probe, chain, params, ens), True)
+        pure = reference_sector_form(n, probe.bits, probe.amps, [1.0] + [0.0] * n)
+        yield steady_twirl(probe), pure, reference_twirl_pairs(n, [(1.0, probe)]), True
+        # a mixture: the twirl keeps M's sector blocks, where the oracle takes a thin QR
+        # of each sector's eigenvector parts, so only the values agree
         yield (steady_twirl(apply_channel(probe, MODEL, 0.8)),
-               reference_twirl_pairs(n, reference_channel_pairs(probe, MODEL, 0.8)))
+               reference_twirl_form(reference_channel_form(probe, MODEL, 0.8)),
+               reference_twirl_pairs(n, reference_channel_pairs(probe, MODEL, 0.8)), False)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_one_state_form_gives_the_per_eigenvector_bytes(n):
-    # one row set and an eigenvector matrix must give, bit for bit, the
-    # eigenpairs, evolution and readouts of each eigenvector on its own rows
+    # the sector form must give, bit for bit, its reference's eigenpairs,
+    # evolution and readouts, and the eigenpairs and J_x readout of each
+    # eigenvector on its own rows for every state built from a pure probe
     rng = np.random.default_rng(1600 + n)
     for x0 in (0.1, -1e2, -1e4):
         chain = make_chain(np.sort(rng.uniform(0.0, 1.0, size=n)), x0=x0)
         params = random_params(rng, grad=float(rng.uniform(0.1, 1.0)))
-        for got, want in _one_form_cases(rng, n, chain, params):
+        scale = params.gamma * params.t * float(np.abs(chain.f_array).sum())
+        for got, form, oracle, exact in _one_form_cases(rng, n, chain, params):
+            want = reference_form_pairs(n, form)
             assert _pairs_bytes(got.eigenpairs) == _pairs_bytes(want)
+            if exact:
+                assert _pairs_bytes(want) == _pairs_bytes(oracle)
+            else:
+                _assert_same_rho(want, oracle)
             evolved = evolve(got, chain, params).eigenpairs
-            want_evolved = reference_evolve_pairs(want, chain, params)
+            want_evolved = reference_form_pairs(n, reference_evolve_form(form, chain, params))
             assert _pairs_bytes(evolved) == _pairs_bytes(want_evolved)
+            _assert_same_rho(evolved, reference_evolve_pairs(oracle, chain, params))
             value, grad = measurement._parity_value_and_gradient(got, chain, params)
-            want_value, want_grad = reference_parity(want, chain, params)
+            want_value, want_grad = reference_form_parity(form, chain, params)
             assert (value.hex(), grad.hex()) == (want_value.hex(), want_grad.hex())
+            oracle_value, oracle_grad = reference_parity(oracle, chain, params)
+            assert abs(value - oracle_value) <= 1e-12
+            assert abs(grad - oracle_grad) <= 1e-9 * max(abs(oracle_grad), scale)
             outcomes = jx_distribution(got, chain, params).outcomes
             want_jx = reference_jx(want, chain, params)
             assert [(p.hex(), dp.hex()) for _, p, dp in outcomes] == want_jx

@@ -38,6 +38,7 @@ from gradqfi import (
 from conftest import (
     oracle_qfi,
     oracle_qfi_pure,
+    params_with_coherence,
     random_chain,
     random_mixture,
     random_params,
@@ -476,3 +477,45 @@ def test_sector_index_validation():
         qfi_dicke(chain, params, -1)
     with pytest.raises(OutOfRange):
         qfi_noisy_psim(chain, params, 5)
+
+
+_COHERENCES = (1e-2, 1e-6, 1e-9, 1e-12, 1e-15, 1e-20, 1e-30, 1e-40, 1e-60, 1e-100)
+
+
+@pytest.mark.parametrize("d", _COHERENCES)
+def test_strongly_dephased_ghz_keeps_its_coherence(d):
+    # the coherence d enters the value as d^2 and lives in one entry of the
+    # sector matrix, not in eigen-weights (1 +/- d) / 2
+    rng = np.random.default_rng(2201)
+    n = 16
+    chain = make_chain(np.sort(rng.uniform(0.0, 1.0, size=n)), x0=-0.3)
+    params = params_with_coherence(d, n, gamma=1.3, b0=0.2, grad=0.4)
+    state = apply_channel(make_named_state("ghz", n), NoiseModel.from_params(params), params.t)
+    want = qfi_noisy_ghz(chain, params).value
+    assert want > 0.0
+    assert rel_dev(qfi_general(state, chain, params).value, want) < 1e-12
+
+
+@pytest.mark.parametrize("d", _COHERENCES)
+def test_strongly_dephased_psi_m_matches_its_branch_gap(d):
+    # at the sign split (m counts the qubits with f <= 0) the gap is sum |f|, the
+    # closed form's; at any other m it is sum_i s_i f_i with s_i = -1 on the flipped block
+    rng = np.random.default_rng(2202)
+    n = 10
+    chain = make_chain(np.sort(rng.uniform(-1.0, 1.0, size=n)), x0=0.05)
+    split = int(np.count_nonzero(chain.f_array <= 0.0))
+    f = chain.f_array.tolist()
+    for m in range(n + 1):
+        if 2 * m == n:  # one sector: no coherence to lose
+            continue
+        params = params_with_coherence(d, abs(n - 2 * m), gamma=0.9, b0=0.1, grad=0.3)
+        model = NoiseModel.from_params(params)
+        state = apply_channel(make_named_state("psi-m", n, m=m), model, params.t)
+        got = qfi_general(state, chain, params).value
+        gap = math.fsum(-x if i < m else x for i, x in enumerate(f))
+        gt = params.gamma * params.t
+        coherence = coherence_factor(model, params.t, abs(n - 2 * m))
+        want = (coherence * gt * gap) ** 2
+        assert rel_dev(got, want) < 1e-12, m
+        if m == split:
+            assert rel_dev(got, qfi_noisy_psim(chain, params, m).value) < 1e-12

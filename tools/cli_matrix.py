@@ -90,7 +90,17 @@ def invocations() -> list[tuple[str, ...]]:
         ("noise-scan", "--n", "20", "--delta-e", "1e200", "--points", "3"),
         ("cfi", "--observable", "jx", "--scenario", "noisy", "--state", "product", "--n", "18",
          "--delta-e", "0.7", "--t", "0.8"),
+        ("cfi", "--state", "ghz", "--n", "20", "--grad", "0.4", *overflow),
+        ("cfi", "--scenario", "noisy", "--state", "dicke", "--k", "4", "--n", "8", "--grad", "0.4",
+         *overflow),
     ]
+    for command in ("cfi", "parity"):  # a rank-19 mixed state on 2^18 rows
+        for t in ("0.8", "50"):
+            runs.append((command, "--scenario", "noisy", "--state", "product", "--n", "18",
+                         "--delta-e", "5", "--t", t))
+    # psi-m off the sign split: the branch gap is not sum |f|
+    runs.append(("qfi", "--scenario", "noisy", "--state", "psi-m", "--m", "3", "--n", "8",
+                 "--t", "0.8", "--length", "2", "--delta-e", "0"))
     return runs
 
 
