@@ -17,9 +17,9 @@ i is qubit i + 1) and its amplitudes; a mixed state holds instead each
 row's entries in its excitation sector's orthonormal columns and the matrix
 of rho between the columns.  Only SparseState.from_terms and .terms spell
 rows as '0'/'1' strings.  The gradient reaches a state only through the
-phase each row picks up; _evolution_terms computes that phase
-and lambda_I of H_G once per state, for evolve, the readouts and the Monte
-Carlo trajectories alike, in one pass over each qubit's row.
+phase each row picks up, summed by _excited_sums (with lambda_I of H_G only
+for the readouts) by prefix doubling on a full support, else in one pass over
+each qubit's row; a state counts its rows' excitations once, on first use.
 
 Public constructors check their input; the library builds its own states
 and chains through _frozen, unchecked.  Everything here is immutable and
@@ -240,8 +240,10 @@ def _keys(bits: np.ndarray) -> np.ndarray:
 
 
 def _excitations(bits: np.ndarray) -> np.ndarray:
-    """Each row's excitation count, summed by einsum as int32 (2.7x a bool row sum)."""
-    return np.einsum("ij->i", bits, dtype=np.int32)
+    """Each row's excitation count, summed by einsum as int32 (2.7x a bool row sum), read-only."""
+    k = np.einsum("ij->i", bits, dtype=np.int32)
+    k.setflags(write=False)
+    return k
 
 
 def _cmul(a: np.ndarray, re, im) -> np.ndarray:
@@ -262,6 +264,7 @@ class SparseState:
     bitstring order; amps holds each row's complex128 amplitude, a unit
     vector within 1e-12.  The constructor checks this and may keep, read-only,
     the arrays it is given; the library's own states are built unchecked.
+    excitations, each row's count as a read-only int32 vector, is kept on first use.
     """
 
     n_qubits: int
@@ -326,6 +329,7 @@ class SparseState:
         return len(self.amps)
 
     weights = (1.0,)  # the state as a rank-1 case of SpectralState's views
+    excitations = cached_property(lambda self: _excitations(self.bits))  # each row's, once
 
     @property
     def vectors(self) -> np.ndarray:
@@ -348,7 +352,8 @@ class SpectralState:
     within 1e-12 and the eigenvectors are orthogonal within 1e-10, keeps the
     pairs and converts them by a thin QR per sector, A = QR, m = R W R^dagger.
     Otherwise weights, vectors (the (rank, rows) eigenvector matrix) and
-    eigenpairs are lazy views of m's spectrum above _WEIGHT_DROP.
+    eigenpairs are lazy views of m's spectrum above _WEIGHT_DROP.  excitations
+    is each row's count, as on SparseState.
     """
 
     n_qubits: int
@@ -396,10 +401,11 @@ class SpectralState:
             basis[rows, : q.shape[1]] = q
             r_all[j * width : j * width + len(r)] = r
         _frozen(self, n_qubits, bits, sector, basis, (r_all * weights) @ r_all.conj().T)
-        vectors.setflags(write=False)
-        self.__dict__.update(eigenpairs=pairs, weights=weights, vectors=vectors)  # as given
+        vectors.setflags(write=False)  # the views are kept as given, with the counts
+        self.__dict__.update(eigenpairs=pairs, weights=weights, vectors=vectors, excitations=k)
 
     _spectrum = cached_property(lambda self: _kept_spectrum(self.m))  # for the views
+    excitations = cached_property(lambda self: _excitations(self.bits))  # each row's, once
 
     @cached_property
     def weights(self) -> tuple[float, ...]:
@@ -441,10 +447,36 @@ State = SparseState | SpectralState
 # ----------------------------------------------------------------------
 
 
+def _turns(bits: np.ndarray, config: ChainConfig, params: PhysParams) -> list[float]:
+    """gamma t (B0 + G f_i) modulo 4 pi per qubit, once bits is checked to fit the chain."""
+    if bits.shape[1] != config.n:
+        raise LengthMismatch(f"state has {bits.shape[1]} qubits but chain has {config.n}")
+    gbt = params.gamma * params.b0 * params.t
+    ggt = params.gamma * params.grad * params.t
+    return [math.remainder(gbt + ggt * fx, 4.0 * math.pi) for fx in config.f_values]
+
+
+def _excited_sums(bits: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """(m, s) sums of (m, n) per-qubit values over each ascending row's excited qubits,
+    added in chain order from +0.0.  The 2^n rows of a full support count in binary, so
+    a prefix doubles per qubit, P <- interleave(P, P + v_i): 2s adds, not n s.  Otherwise
+    each qubit's row of one copy of bits.T adds row * v_i (+-0.0 where unexcited)."""
+    m, n = values.shape
+    if len(bits) == 1 << n:
+        sums = np.zeros((m, 1))
+        for v in values.T[:, :, None]:
+            sums = np.stack((sums, sums + v), axis=2).reshape(m, -1)
+        return sums
+    sums = np.zeros((m, len(bits)))
+    for row, v in zip(np.ascontiguousarray(bits.T), values.T[:, :, None]):
+        sums += row * v
+    return sums
+
+
 def _evolution_terms(
-    bits: np.ndarray, config: ChainConfig, params: PhysParams
+    bits: np.ndarray, config: ChainConfig, params: PhysParams, k: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Evolution phase and H_G eigenvalue lambda_I of each row of a bit matrix.
+    """Evolution phase and H_G eigenvalue lambda_I of each row of an ascending bit matrix.
 
     lambda_I = (1/2) sum_i (f_i - c) s_i + c (n/2 - k_I) with c = mean(f):
     the first term sees only the centred profile and the second vanishes on
@@ -452,36 +484,29 @@ def _evolution_terms(
     (1/2) sum_i s_i gamma t (B0 + G f_i) sums per-qubit turns reduced
     modulo 4 pi, so it stays within n pi and is not rounded at the scale of
     a large f.  Both are half the all-qubit sum minus the sum over the
-    excited qubits, accumulated qubit by qubit in chain order: one contiguous
-    copy of bits.T gives each qubit's row in a run, and one product with the
-    pair (turn_i, f_i - c) adds it to both sums.
+    excited qubits, one _excited_sums pass over the pair (turn_i, f_i - c).
+    k, each row's excitation count, is counted from bits unless given.
     """
+    turns = _turns(bits, config, params)
     n = config.n
-    if bits.shape[1] != n:
-        raise LengthMismatch(f"state has {bits.shape[1]} qubits but chain has {n}")
-    gbt = params.gamma * params.b0 * params.t
-    ggt = params.gamma * params.grad * params.t
     c = math.fsum(config.f_values) / n
     centred = [fx - c for fx in config.f_values]
-    turns = [math.remainder(gbt + ggt * fx, 4.0 * math.pi) for fx in config.f_values]
-    excited = np.ascontiguousarray(bits.T)  # (qubit, term)
-    sums = np.zeros((2, excited.shape[1]))  # the phase and lambda sums over excited qubits
-    for row, turn_g in zip(excited, np.array([turns, centred]).T[:, :, None]):
-        sums += row * turn_g
-    phase = 0.5 * math.fsum(turns) - sums[0]
-    lam = 0.5 * math.fsum(centred) - sums[1] + c * (0.5 * n - excited.sum(axis=0, dtype=np.int32))
-    return phase, lam
+    sums = _excited_sums(bits, np.array([turns, centred]))
+    k = _excitations(bits) if k is None else k
+    return 0.5 * math.fsum(turns) - sums[0], 0.5 * math.fsum(centred) - sums[1] + c * (0.5 * n - k)
 
 
 def evolve(state: State, config: ChainConfig, params: PhysParams) -> State:
     """Apply the exact diagonal evolution exp(-i t H / hbar).
 
     Each amplitude on bitstring I picks up exp(-i phase(I)) with
-    phase(I) = gamma*B0*t*(N/2 - k(I)) + gamma*G*t*lambda_I, from one
-    _evolution_terms pass.  The evolution is diagonal, so a mixed state's
-    sector columns are phased row by row and m is kept.
+    phase(I) = gamma*B0*t*(N/2 - k(I)) + gamma*G*t*lambda_I, the phase of
+    _evolution_terms alone: one _excited_sums pass over the turns, doubled on
+    a full support.  The evolution is diagonal, so a mixed state's sector
+    columns are phased row by row and m is kept.
     """
-    phase, _ = _evolution_terms(state.bits, config, params)
+    turns = _turns(state.bits, config, params)
+    phase = 0.5 * math.fsum(turns) - _excited_sums(state.bits, np.array([turns]))[0]
     re, im = np.cos(phase), -np.sin(phase)
     if isinstance(state, SparseState):
         return _frozen(SparseState, state.n_qubits, state.bits, _cmul(state.amps, re, im))
@@ -633,5 +658,6 @@ def _sector_spectral(
     unit = amps * scale[k]  # each row's entry of its sector's e_k
     sector = (np.cumsum(mass > 0) - 1)[k]  # its index among the occupied sectors
     state = _frozen(SpectralState, n_qubits, bits, sector, unit[:, None], m)
+    state.__dict__["excitations"] = k  # counted here already
     state._spectrum  # M's one eigh: refuses an M that is not positive, kept for the views
     return state

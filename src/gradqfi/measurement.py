@@ -12,12 +12,14 @@ d phase / dG = gamma t lambda_I, so derivatives are exact (no finite
 differences anywhere outside the test suite).  phase(I) and lambda_I come
 from core._evolution_terms on the state's bit matrix, the rule evolve
 uses, so a readout and the evolved state agree digit for digit even on
-chains far from x0.  The parity readout finds each row's complement by
-searching (2^N - 1) - index among the ascending int64 row indices (byte
-strings past 62 qubits); the J_x readout scatters the amplitudes into
-dense 2^N vectors and is capped at N = 12.  A distribution the library
-computes that fails its own sum checks raises SelfCheckFailed, not the
-OutOfRange a user-built one gets.
+chains far from x0.  Parity pairs each row with its complement: with no row
+when no excitation count k occurs with N - k (0, with no phase computed), row
+s - 1 - I on a complement-closed support (product, GHZ, balanced Dicke), else
+by searching (2^N - 1) - index among the ascending int64 row indices (byte
+strings past 62 qubits).  The J_x readout scatters the amplitudes into dense
+2^N vectors and is capped at N = 12.  A distribution the library computes
+that fails its own sum checks raises SelfCheckFailed, not the OutOfRange a
+user-built one gets.
 
 Note on two-branch states: sigma_x^(x)N connects a bitstring only to its
 complement, so an unbalanced two-branch state (k excitations vs k
@@ -35,7 +37,7 @@ import numpy as np
 
 from .core import (ChainConfig, PhysParams, SparseState, State, _cmul, _evolution_terms, _keys,
                    _product_bits)
-from .errors import DimensionTooLarge, FlatResponse, OutOfRange, SelfCheckFailed
+from .errors import DimensionTooLarge, FlatResponse, LengthMismatch, OutOfRange, SelfCheckFailed
 from .qfi import FisherReport, _seq_sum
 
 _P_FLOOR = 1e-15
@@ -83,9 +85,12 @@ class OutcomeDistribution:
         return tuple(dp for _, _, dp in self.outcomes)
 
 
-def _complement_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of an ascending bit matrix whose complement is a row too, and that row: index I
+def _complement_rows(bits: np.ndarray) -> tuple[np.ndarray | slice, np.ndarray | slice]:
+    """Rows of an ascending bit matrix whose complement is a row too, and that row: on a
+    complement-closed support row I meets row s - 1 - I, as two slices; otherwise index I
     meets (2^n - 1) - I in an int64 search (past 62 qubits, ~bits as byte strings)."""
+    if (bits[::-1] != bits).all():  # complementing reverses the ascending order
+        return slice(None), slice(None, None, -1)
     n = bits.shape[1]
     if n <= 62:  # each row's index, packed a byte at a time from rows padded to whole bytes
         padded = np.concatenate([np.zeros((len(bits), -n % 8), dtype=bool), bits], axis=1)
@@ -111,9 +116,15 @@ def _parity_value_and_gradient(
     of rho'_{I, comp(I)} = a'_I conj(a'_comp(I)), or sum_ab q'_a(I) m[a, b]
     conj(q'_b(comp(I))) on a mixed state's sector columns; differentiating the
     evolution phases gives the exact gradient term -2i gamma t lambda_I per pair.
+    With no rows of counts k and n - k both, no row has a complement: (0.0, 0.0), no phase.
     """
+    if state.n_qubits != config.n:
+        raise LengthMismatch(f"state has {state.n_qubits} qubits but chain has {config.n}")
+    present = np.bincount(state.excitations, minlength=state.n_qubits + 1) > 0
+    if not (present & present[::-1]).any():
+        return 0.0, 0.0
     gt = params.gamma * params.t
-    phase, lam = _evolution_terms(state.bits, config, params)
+    phase, lam = _evolution_terms(state.bits, config, params, state.excitations)
     re, im = np.cos(phase), -np.sin(phase)
     paired, at = _complement_rows(state.bits)
     if isinstance(state, SparseState):
@@ -217,7 +228,7 @@ def jx_distribution(
     probs = np.zeros(n + 1, dtype=np.float64)
     derivs = np.zeros(n + 1, dtype=np.float64)
     place = 1 << np.arange(n - 1, -1, -1)  # qubit 1 is the most significant bit
-    phase, lam = _evolution_terms(state.bits, config, params)
+    phase, lam = _evolution_terms(state.bits, config, params, state.excitations)
     index = state.bits @ place
     for weight, row in zip(state.weights, state.vectors):
         nz = np.flatnonzero(row)  # only the eigenvector's own entries are scattered

@@ -73,11 +73,12 @@ def _spectral_qfi(state: State, config: ChainConfig, params: PhysParams) -> floa
     gt = params.gamma * params.t
     with np.errstate(over="ignore"):  # inf on overflow, as float arithmetic
         if isinstance(state, SparseState):
-            return _spectral_core(state.bits, state.amps, config.f_array, gt)
+            return _spectral_core(state.bits, state.amps, config.f_array, gt, state.excitations)
         return _sector_qfi(state, config.f_array, gt)
 
 
-def _spectral_core(excited: np.ndarray, amps: np.ndarray, f: np.ndarray, gt: float) -> float:
+def _spectral_core(excited: np.ndarray, amps: np.ndarray, f: np.ndarray, gt: float,
+                   k: np.ndarray | None = None) -> float:
     """(gamma t)^2 4 Var(H_G) of a pure state from its (s, n) support bits, its amplitudes,
     the profile f and gamma t: 4 || H|a> - <a|H|a> |a> ||^2, an elementwise residual, so a
     state carrying little information does not cancel.
@@ -85,13 +86,14 @@ def _spectral_core(excited: np.ndarray, amps: np.ndarray, f: np.ndarray, gt: flo
     H_G = (1/2) sum_i f_i - sum_i f_i n_i with n_i the excitation of qubit
     i, and the QFI ignores a constant and the sign of the generator, so
     lambda_I = sum_{i excited} (f_i - c) + c (k_I - k_0), with c = mean(f)
-    and k_0 the excitation count of the first row with a nonzero amplitude.
+    and k_0 the excitation count of the first row with a nonzero amplitude
+    (k, each row's count, is counted from the bits unless given).
     On a chain far from x0 the large c-term is then exactly zero within one
     excitation sector instead of cancelling in floating point.
     """
     v = amps[None, :]
     c = float(f.mean())
-    k = _excitations(excited)
+    k = _excitations(excited) if k is None else k
     # einsum casts the boolean matrix in buffered chunks, never all at once
     lam = np.einsum("ij,j->i", excited, f - c) + c * (k - k[np.argmax(v[0] != 0)])
     hv = v * lam
@@ -117,7 +119,7 @@ def _sector_qfi(state: SpectralState, f: np.ndarray, gt: float) -> float:
     cols = (state.sector * width)[:, None, None] + np.arange(width)[:, None]  # g = k w + a
     at = (cols, cols.swapaxes(1, 2))  # (row, a, b) -> (g_a, g_b)
     c = float(f.mean())
-    k = _excitations(state.bits)
+    k = state.excitations
     mu = np.einsum("ij,j->i", state.bits, f - c)
     some = np.empty(len(m) // width, dtype=np.intp)
     some[state.sector] = np.arange(len(mu))  # one row of each sector
@@ -186,14 +188,14 @@ def qfi_max_separable(config: ChainConfig, params: PhysParams) -> FisherReport:
     The optimum is |+>^n up to local z-rotations; no state is returned
     because the sparse form grows as 2^n while the value does not need it.
     """
-    return FisherReport(_separable(_gt2(params), config.f_array), "closed-form:max-separable")
+    with np.errstate(over="ignore"):  # inf on overflow, as float arithmetic
+        return FisherReport(_separable(_gt2(params), config.f_array), "closed-form:max-separable")
 
 
 def _separable(gt2: float, f: np.ndarray) -> float:
     """(gamma t)^2 sum_i f_i^2 from gt2 = (gamma t)^2 and a profile f (the centred one
-    for the steady product), summed by numpy; inf on overflow, as float arithmetic."""
-    with np.errstate(over="ignore"):
-        return gt2 * float((f**2).sum())
+    for the steady product), summed by numpy; inf on overflow under the caller's errstate."""
+    return gt2 * float((f**2).sum())
 
 
 def _seq_sum(x: np.ndarray) -> float:
@@ -283,7 +285,8 @@ def qfi_product_steady(config: ChainConfig, params: PhysParams) -> FisherReport:
     the linear profile.
     """
     f = config.f_array
-    return FisherReport(_separable(_gt2(params), f - f.mean()), "closed-form:product-steady")
+    with np.errstate(over="ignore"):  # inf on overflow, as float arithmetic
+        return FisherReport(_separable(_gt2(params), f - f.mean()), "closed-form:product-steady")
 
 
 def qfi_dicke(config: ChainConfig, params: PhysParams, k: int) -> FisherReport:

@@ -173,6 +173,49 @@ def reference_evolution_terms(rows, config, params):
     return np.array(phases), np.array(lams)
 
 
+def reference_full_support_terms(n, config, params):
+    """Phase and lambda of all 2^n rows, row I spelling I in binary (qubit 1 the most
+    significant bit), by the per-qubit loop over whole columns: qubit i adds its turn
+    and f_i - c to the rows whose bit i is set, in chain order from +0.0, the rule
+    reference_evolution_terms applies one row at a time."""
+    gbt = params.gamma * params.b0 * params.t
+    ggt = params.gamma * params.grad * params.t
+    c = math.fsum(config.f_values) / n
+    centred = [fx - c for fx in config.f_values]
+    turns = [math.remainder(gbt + ggt * fx, 4.0 * math.pi) for fx in config.f_values]
+    index = np.arange(1 << n)
+    phase, lam, count = np.zeros((3, 1 << n))
+    for i in range(n):
+        excited = (index >> (n - 1 - i)) & 1 == 1
+        phase[excited] += turns[i]
+        lam[excited] += centred[i]
+        count += excited
+    return (0.5 * math.fsum(turns) - phase,
+            0.5 * math.fsum(centred) - lam + c * (0.5 * n - count))
+
+
+def reference_phased(amps, phase):
+    """amps times cos(phase) - i sin(phase), each product written out as CPython's
+    complex product rounds it."""
+    re, im = np.cos(phase), -np.sin(phase)
+    out = np.empty(len(amps), dtype=np.complex128)
+    out.real = amps.real * re - amps.imag * im
+    out.imag = amps.real * im + amps.imag * re
+    return out
+
+
+def reference_complement_pairing(bits):
+    """The rows of a bit matrix whose complement is a row too, ascending, and the index of
+    that complement, by a dict of the rows spelled as strings."""
+    rows = ["".join("01"[b] for b in row) for row in bits.tolist()]
+    where = {row: j for j, row in enumerate(rows)}
+    flip = str.maketrans("01", "10")
+    pairs = [(i, where[row.translate(flip)]) for i, row in enumerate(rows)
+             if row.translate(flip) in where]
+    paired, at = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    return paired.copy(), at.copy()
+
+
 def reference_named_state(name, n, k=None, m=None, theta=0.0):
     """(bitstring, amplitude) terms of a named probe, spelled out as strings, sorted."""
     half = 1.0 / math.sqrt(2.0)

@@ -44,7 +44,9 @@ from conftest import (
     random_params,
     random_sparse,
     reference_evolution_terms,
+    reference_full_support_terms,
     reference_named_state,
+    reference_phased,
     to_dense,
 )
 
@@ -425,6 +427,58 @@ def test_evolution_terms_equal_the_per_qubit_reference_bytes(name, n, kw, offset
     want_phase, want_lam = reference_evolution_terms([b for b, _ in state.terms], chain, params)
     assert phase.tobytes() == want_phase.tobytes()
     assert lam.tobytes() == want_lam.tobytes()
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+@pytest.mark.parametrize("n", range(1, 18))
+def test_full_support_terms_equal_the_per_qubit_loop_bytes(n, offset):
+    # a full support's sums are built by prefix doubling: each row's sum must be
+    # the per-qubit loop's, row for row, with negative turns among the qubits
+    rng = np.random.default_rng(2400 + n)
+    chain = make_chain(offset + np.sort(rng.uniform(0.0, 1.0, size=n)), x0=0.0)
+    grad = float(rng.uniform(0.1, 0.9))  # b0 puts qubit 1's turn at -gamma t
+    params = random_params(rng, grad=grad, b0=-grad * chain.f_values[0] - 1.0)
+    gbt, ggt = (params.gamma * params.t * v for v in (params.b0, params.grad))
+    assert min(math.remainder(gbt + ggt * fx, 4.0 * math.pi) for fx in chain.f_values) < 0.0
+    state = make_named_state("product", n)
+    want_phase, want_lam = reference_full_support_terms(n, chain, params)
+    phase, lam = _evolution_terms(state.bits, chain, params)
+    assert phase.tobytes() == want_phase.tobytes()
+    assert lam.tobytes() == want_lam.tobytes()
+    evolved = evolve(state, chain, params)
+    assert evolved.amps.tobytes() == reference_phased(state.amps, want_phase).tobytes()
+    if n <= 8:  # the doubled reference itself against the one-row-at-a-time loop
+        rows = [b for b, _ in state.terms]
+        for got, want in zip((want_phase, want_lam), reference_evolution_terms(rows, chain, params)):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_full_support_evolve_of_a_dephased_product_phases_each_row_as_the_loop():
+    rng = np.random.default_rng(2418)
+    chain = make_chain(1e4 + np.sort(rng.uniform(0.0, 1.0, size=9)), x0=0.0)
+    params = random_params(rng, b0=-2.0)
+    state = apply_channel(make_named_state("product", 9), NoiseModel(1.0, 1.0, 1.0), 0.7)
+    assert len(state.bits) == 1 << 9
+    want_phase, _ = reference_full_support_terms(9, chain, params)
+    evolved = evolve(state, chain, params)
+    assert evolved.basis[:, 0].tobytes() == reference_phased(state.basis[:, 0], want_phase).tobytes()
+    assert evolved.m is state.m
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_named_state("dicke", 9, k=4),
+    lambda: make_named_state("product", 6),
+    lambda: random_sparse(np.random.default_rng(2419), 7, size=30),
+    lambda: apply_channel(make_named_state("product", 6), NoiseModel(1.0, 1.0, 1.0), 0.4),
+    lambda: steady_twirl(random_mixture(np.random.default_rng(2420), 4, 3)),
+    lambda: random_mixture(np.random.default_rng(2421), 4, 2),
+])
+def test_excitation_counts_are_counted_once_and_kept_read_only(make):
+    state = make()
+    k = state.excitations
+    assert k.dtype == np.int32 and not k.flags.writeable
+    assert k is state.excitations
+    assert k.tolist() == [int(row.sum()) for row in state.bits]
 
 
 # ----------------------------------------------------------------------

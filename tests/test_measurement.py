@@ -8,6 +8,7 @@ import pytest
 from gradqfi import measurement
 from gradqfi import (
     FlatResponse,
+    LengthMismatch,
     NoiseModel,
     OutOfRange,
     OutcomeDistribution,
@@ -38,6 +39,7 @@ from conftest import (
     random_mixture,
     random_params,
     random_sparse,
+    reference_complement_pairing,
     rel_dev,
     to_dense,
 )
@@ -301,6 +303,97 @@ def test_parity_derivatives_match_finite_differences(n):
         fd = (p_plus(params.grad + delta) - p_plus(params.grad - delta)) / (2 * delta)
         assert dist.derivatives[0] == pytest.approx(fd, rel=1e-6, abs=1e-7)
         assert dist.derivatives[1] == pytest.approx(-fd, rel=1e-6, abs=1e-7)
+
+
+def _complement_closed_sparse(rng, n, pairs):
+    """A random state on `pairs` bitstrings below their complement and those complements."""
+    low = rng.choice(1 << (n - 1), size=pairs, replace=False)  # qubit 1 unexcited
+    rows = [format(int(i), f"0{n}b") for i in low]
+    rows += [row.translate(str.maketrans("01", "10")) for row in rows]
+    amps = rng.normal(size=len(rows)) + 1j * rng.normal(size=len(rows))
+    return SparseState.from_terms(n, zip(rows, (amps / np.linalg.norm(amps)).tolist()))
+
+
+_CLOSED_SUPPORTS = {
+    "product": lambda: make_named_state("product", 10),
+    "ghz": lambda: make_named_state("ghz", 12),
+    "balanced-dicke": lambda: make_named_state("dicke", 10, k=5),
+    "random-closed": lambda: _complement_closed_sparse(np.random.default_rng(2431), 9, 40),
+    "dephased-product": lambda: apply_channel(make_named_state("product", 8),
+                                              NoiseModel(1.0, 1.0, 1.0), 0.6),
+}
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+@pytest.mark.parametrize("name", sorted(_CLOSED_SUPPORTS))
+def test_reversal_pairing_equals_the_searched_pairing(name, offset, monkeypatch):
+    # a complement-closed support pairs row I with row s - 1 - I by two slices: the
+    # same pairs in the same order as the search, and so the same parity bytes
+    state = _CLOSED_SUPPORTS[name]()
+    rng = np.random.default_rng(2432)
+    chain = make_chain(offset + np.sort(rng.uniform(0.0, 1.0, size=state.n_qubits)), x0=0.0)
+    params = random_params(rng, grad=0.6)
+    paired, at = measurement._complement_rows(state.bits)
+    assert (paired, at) == (slice(None), slice(None, None, -1))
+    want_paired, want_at = reference_complement_pairing(state.bits)
+    rows = np.arange(len(state.bits))
+    assert rows[paired].tobytes() == want_paired.tobytes()
+    assert rows[at].tobytes() == want_at.tobytes()
+    got = measurement._parity_value_and_gradient(state, chain, params)
+    monkeypatch.setattr(measurement, "_complement_rows", reference_complement_pairing)
+    want = measurement._parity_value_and_gradient(state, chain, params)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert np.array(got).tobytes() == np.array(_dict_paired_parity(state, chain, params)).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(2433, 2438))
+def test_searched_pairing_on_open_supports_equals_the_dict_pairing(seed):
+    rng = np.random.default_rng(seed)
+    state = random_sparse(rng, 7, size=int(rng.integers(2, 60)))
+    got = measurement._complement_rows(state.bits)
+    assert not isinstance(got[0], slice)
+    for part, want in zip(got, reference_complement_pairing(state.bits)):
+        assert part.tobytes() == want.tobytes()
+
+
+_NO_PAIR_STATES = {
+    "dicke-n5-k2": lambda: make_named_state("dicke", 5, k=2),
+    "dicke-n9-k4": lambda: make_named_state("dicke", 9, k=4),
+    "dicke-n19-k9": lambda: make_named_state("dicke", 19, k=9),
+    "dicke-n6-k1": lambda: make_named_state("dicke", 6, k=1),
+    "dicke-n17-k1": lambda: make_named_state("dicke", 17, k=1),
+    "dicke-n17-k2": lambda: make_named_state("dicke", 17, k=2),
+    "twirled-dicke-n7-k3": lambda: steady_twirl(make_named_state("dicke", 7, k=3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NO_PAIR_STATES))
+def test_no_complementary_classes_read_exactly_zero_with_no_phase(name, monkeypatch):
+    state = _NO_PAIR_STATES[name]()
+    rng = np.random.default_rng(2438)
+    chain = make_chain(1e4 + np.sort(rng.uniform(0.0, 1.0, size=state.n_qubits)), x0=0.0)
+    params = random_params(rng, grad=0.6)
+    if state.n_qubits <= 9:  # the dict pairing finds no pair either
+        assert _dict_paired_parity(state, chain, params) == (0.0, 0.0)
+
+    def no_phase(*args, **kwargs):
+        raise AssertionError("a phase was computed")
+
+    monkeypatch.setattr(measurement, "_evolution_terms", no_phase)
+    value, grad = measurement._parity_value_and_gradient(state, chain, params)
+    assert type(value) is float and type(grad) is float
+    assert np.array([value, grad]).tobytes() == np.zeros(2).tobytes()  # +0.0, not -0.0
+    dist = parity_distribution(state, chain, params)
+    assert dist.outcomes == (("+1", 0.5, 0.0), ("-1", 0.5, -0.0))
+
+
+@pytest.mark.parametrize("name", ["dicke-n5-k2", "dicke-n6-k1", "twirled-dicke-n7-k3"])
+def test_no_pair_state_on_a_chain_of_the_wrong_length_still_raises(name):
+    state = _NO_PAIR_STATES[name]()
+    chain = make_chain(np.arange(state.n_qubits - 1, dtype=float))
+    message = f"^state has {state.n_qubits} qubits but chain has {state.n_qubits - 1}$"
+    with pytest.raises(LengthMismatch, match=message):
+        parity_distribution(state, chain, PhysParams(grad=0.4))
 
 
 def test_outcome_distribution_validation():
