@@ -179,7 +179,10 @@ def _char_function(
     Trajectory i reads one Philox counter, four uniforms, at counter i and
     forms by Box-Muller only the three normals it uses (X_0, the X_t noise,
     the Y_t noise), so the stream layout does not depend on t and the
-    result does not depend on chunking.
+    result does not depend on chunking.  Each step writes, in the order of
+    the expression it spells out, into a view of one block made per call, so
+    a chunk makes no array temporaries and its cost does not hang on where
+    the heap would put some twenty fresh ones, or on pages it hands back.
     """
     tau = model.tau_c
     sig2 = model.delta_e * model.delta_e
@@ -194,22 +197,29 @@ def _char_function(
     c = math.sqrt(max(var_y - b * b, 0.0))
     drift = -tau * em1            # tau (1 - phi)
 
+    width = min(MC_CHUNK, n_traj)
+    work = np.empty(13 * width)  # every array of a chunk, as views of one block
     acc = np.zeros(n_qubits + 1, dtype=np.complex128)
     for lo in range(0, n_traj, MC_CHUNK):
-        hi = min(lo + MC_CHUNK, n_traj)
+        m = min(MC_CHUNK, n_traj - lo)
+        base, cur = work[: 4 * width].view(np.complex128).reshape(2, width)[:, :m]
+        u = work[4 * width : 4 * (width + m)].reshape(m, 4)
+        r1, a1, y, v, w = work[8 * width :].reshape(5, width)[:, :m]
         bitgen = np.random.Philox(key=seed)
         bitgen.advance(lo)        # one counter (four outputs) per trajectory
-        u = np.random.Generator(bitgen).random((hi - lo, 4), dtype=np.float64)
+        np.random.Generator(bitgen).random(out=u)
         # Box-Muller on the pairs (u0, u1) and (u2, u3) without r0 sin(a0), which
         # nothing reads; a column is read strided once, by the negation or the
         # 2 pi product, so log1p, sqrt, cos and sin run on contiguous vectors
-        r1 = np.sqrt(-2.0 * np.log1p(-u[:, 2]))
-        a1 = (2.0 * math.pi) * u[:, 3]
-        z0 = np.sqrt(-2.0 * np.log1p(-u[:, 0])) * np.cos((2.0 * math.pi) * u[:, 1])
-        x0 = model.delta_e * z0              # stationary initial sample
-        y = drift * x0 + b * (r1 * np.cos(a1)) + c * (r1 * np.sin(a1))
-        base = np.exp(-1j * (gamma_prime * y))
-        cur = np.ones(hi - lo, dtype=np.complex128)
+        np.sqrt(np.multiply(-2.0, np.log1p(np.negative(u[:, 2], out=w), out=r1), out=r1), out=r1)
+        np.multiply(2.0 * math.pi, u[:, 3], out=a1)
+        np.sqrt(np.multiply(-2.0, np.log1p(np.negative(u[:, 0], out=w), out=y), out=y), out=y)
+        np.multiply(y, np.cos(np.multiply(2.0 * math.pi, u[:, 1], out=w), out=v), out=y)  # z0
+        np.multiply(drift, np.multiply(model.delta_e, y, out=y), out=y)  # drift x0
+        y += np.multiply(b, np.multiply(r1, np.cos(a1, out=w), out=w), out=w)
+        y += np.multiply(c, np.multiply(r1, np.sin(a1, out=w), out=w), out=w)
+        np.exp(np.multiply(-1j, np.multiply(gamma_prime, y, out=y), out=cur), out=base)
+        cur.fill(1.0)
         for dk in range(n_qubits + 1):
             acc[dk] += cur.sum()
             if dk < n_qubits:

@@ -1,6 +1,7 @@
 """Dephasing channel, steady-state twirl, and the Monte Carlo oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -444,6 +445,22 @@ def test_char_function_bytes_equal_the_four_normal_reference(n_traj):
         got = noise_module._char_function(seed, n_traj, t, MODEL, MODEL.gamma_prime, weight)
         want = reference_char_function(seed, n_traj, t, MODEL, MODEL.gamma_prime, weight)
         assert got.tobytes() == want.tobytes(), (seed, t, weight)
+
+
+@pytest.mark.parametrize("n_traj", [16384, 20000, 3 * 8192])  # two chunks or more
+def test_char_function_peaks_at_its_one_block(n_traj):
+    # every array of a chunk is a view of one 13-row block; beyond it only numpy's
+    # cast buffer for the complex product (bufsize complex128 entries) is allocated,
+    # where fresh temporaries, with the last chunk's still held, would peak higher
+    width = min(noise_module.MC_CHUNK, n_traj)
+    noise_module._char_function(3, n_traj, 0.7, MODEL, MODEL.gamma_prime, 4)  # numpy's lazy set-up
+    tracemalloc.start()
+    try:
+        noise_module._char_function(4, n_traj, 0.7, MODEL, MODEL.gamma_prime, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 13 * width + 16 * np.getbufsize() + 8192
 
 
 def test_mc_coherence_shortcuts_return_unity():
