@@ -222,6 +222,8 @@ class PhysParams:
             raise OutOfRange(f"gamma must be > 0, got {self.gamma!r}")
         if self.t < 0:
             raise NegativeTime(f"t must be >= 0, got {self.t!r}")
+        if self.gamma_prime < 0:
+            raise OutOfRange(f"gamma_prime must be >= 0, got {self.gamma_prime!r}")
         if self.delta_e < 0:
             raise OutOfRange(f"delta_e must be >= 0, got {self.delta_e!r}")
         if self.tau_c <= 0:

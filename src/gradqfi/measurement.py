@@ -15,11 +15,10 @@ uses, so a readout and the evolved state agree digit for digit even on
 chains far from x0.  Parity pairs each row with its complement: with no row
 when no excitation count k occurs with N - k (0, with no phase computed), row
 s - 1 - I on a complement-closed support (product, GHZ, balanced Dicke), else
-by searching (2^N - 1) - index among the ascending int64 row indices (byte
-strings past 62 qubits).  The J_x readout scatters the amplitudes into dense
-2^N vectors and is capped at N = 12.  A distribution the library computes
-that fails its own sum checks raises SelfCheckFailed, not the OutOfRange a
-user-built one gets.
+by one search of every row's complement among the rows' byte-string keys, at
+any N.  The J_x readout scatters the amplitudes into dense 2^N vectors and is
+capped at N = 12.  A distribution the library computes that fails its own sum
+checks raises SelfCheckFailed, not the OutOfRange a user-built one gets.
 
 Note on two-branch states: sigma_x^(x)N connects a bitstring only to its
 complement, so an unbalanced two-branch state (k excitations vs k
@@ -86,25 +85,15 @@ class OutcomeDistribution:
 
 
 def _complement_rows(bits: np.ndarray) -> tuple[np.ndarray | slice, np.ndarray | slice]:
-    """Rows of an ascending bit matrix whose complement is a row too, and that row: on a
-    complement-closed support row I meets row s - 1 - I, as two slices; otherwise index I
-    meets (2^n - 1) - I in an int64 search (past 62 qubits, ~bits as byte strings)."""
+    """Rows of an ascending bit matrix whose complement is a row too, ascending, and that
+    row: on a complement-closed support row I meets row s - 1 - I, as two slices; otherwise
+    each row's complement is searched among the rows' byte-string keys."""
     if (bits[::-1] != bits).all():  # complementing reverses the ascending order
         return slice(None), slice(None, None, -1)
-    n = bits.shape[1]
-    if n <= 62:  # each row's index, packed a byte at a time from rows padded to whole bytes
-        padded = np.concatenate([np.zeros((len(bits), -n % 8), dtype=bool), bits], axis=1)
-        keys = np.zeros(len(bits), dtype=np.int64)
-        for byte in np.packbits(padded.reshape(-1)).reshape(len(bits), -1).T:
-            keys = keys << 8 | byte
-        flipped = ((1 << n) - 1) - keys
-    else:
-        keys, flipped = _keys(bits), _keys(~bits)
-    low = np.count_nonzero(keys < flipped)  # the rows below their complement come first
-    at = np.minimum(np.searchsorted(keys[low:], flipped[:low]) + low, len(keys) - 1)
-    lower = np.flatnonzero(keys[at] == flipped[:low])  # each pair is searched once
-    upper = at[lower][::-1]
-    return np.concatenate([lower, upper]), np.concatenate([upper[::-1], lower[::-1]])
+    keys, flipped = _keys(bits), _keys(~bits)
+    at = np.minimum(np.searchsorted(keys, flipped), len(keys) - 1)
+    paired = np.flatnonzero(keys[at] == flipped)
+    return paired, at[paired]
 
 
 def _parity_value_and_gradient(

@@ -164,8 +164,7 @@ def steady_twirl(state: State) -> SpectralState:
 
 
 def _char_function(
-    seed: int, n_traj: int, t: float, model: NoiseModel,
-    gamma_prime: float, n_qubits: int,
+    seed: int, n_traj: int, t: float, model: NoiseModel, n_qubits: int,
 ) -> np.ndarray:
     """E[exp(-i delta_phi * dk)] for dk = 0..n_qubits, over n_traj trajectories.
 
@@ -218,7 +217,7 @@ def _char_function(
         np.multiply(drift, np.multiply(model.delta_e, y, out=y), out=y)  # drift x0
         y += np.multiply(b, np.multiply(r1, np.cos(a1, out=w), out=w), out=w)
         y += np.multiply(c, np.multiply(r1, np.sin(a1, out=w), out=w), out=w)
-        np.exp(np.multiply(-1j, np.multiply(gamma_prime, y, out=y), out=cur), out=base)
+        np.exp(np.multiply(-1j, np.multiply(model.gamma_prime, y, out=y), out=cur), out=base)
         cur.fill(1.0)
         for dk in range(n_qubits + 1):
             acc[dk] += cur.sum()
@@ -244,7 +243,7 @@ def mc_coherence_magnitude(
         raise OutOfRange(f"weight must be >= 0, got {weight!r}")
     if t == 0.0 or weight == 0 or model.delta_e == 0.0 or model.gamma_prime == 0.0:
         return 1.0
-    char = _char_function(ens.seed, ens.n_traj, t, model, model.gamma_prime, weight)
+    char = _char_function(ens.seed, ens.n_traj, t, model, weight)
     return float(abs(char[weight]))
 
 
@@ -270,7 +269,7 @@ def mc_trajectory_average(
     model = NoiseModel.from_params(params)
     evolved = evolve(state, config, params)
     noisy = params.t != 0.0 and model.delta_e != 0.0 and model.gamma_prime != 0.0
-    char = (_char_function(ens.seed, ens.n_traj, params.t, model, params.gamma_prime, n)
+    char = (_char_function(ens.seed, ens.n_traj, params.t, model, n)
             if noisy else [1.0] * (n + 1))  # noise-free: no trajectory is drawn
     # element (I, J) picks up char[k_J - k_I], conjugated when k_J < k_I
     return _sector_spectral(n, evolved.bits, evolved.amps, char)

@@ -355,6 +355,8 @@ def sweep_fig3(
     """
     if points < 2:
         raise OutOfRange(f"points must be >= 2, got {points}")
+    if not (math.isfinite(t_max) and t_max > 0):
+        raise OutOfRange(f"t_max must be finite and > 0, got {t_max!r}")
     if config is None:
         config = generate_placement(PlacementSpec("equidistant", 50, 0.0, 1.0))
     if params is None:

@@ -487,13 +487,14 @@ def reference_evolve_pairs(pairs, config, params):
 
 
 def reference_parity(pairs, config, params):
-    """Parity value and gradient, each eigenvector evolved and paired on its own rows."""
+    """Parity value and gradient, each eigenvector evolved and paired on its own rows by
+    reference_complement_pairing."""
     gt = params.gamma * params.t
     value = grad = 0.0
     for weight, vec in pairs:
         phase, lam = core._evolution_terms(vec.bits, config, params)
         amps = core._cmul(vec.amps, np.cos(phase), -np.sin(phase))
-        paired, at = measurement._complement_rows(vec.bits)
+        paired, at = reference_complement_pairing(vec.bits)
         partner, amps = amps[at], amps[paired]
         term = core._cmul(amps, partner.real, -partner.imag)
         dterm = term.real * 0.0 - term.imag * ((-2.0 * gt) * lam[paired])

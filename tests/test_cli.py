@@ -391,6 +391,17 @@ def test_reproduce_rejects_json_format():
     assert "CSV only" in cp.stderr
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("reproduce", "fig3", "--t-max", "-1"), "t_max must be finite and > 0, got -1.0"),
+    (("reproduce", "fig3", "--t-max", "inf"), "t_max must be finite and > 0, got inf"),
+    (("qfi", "--gamma-prime", "-1"), "gamma_prime must be >= 0, got -1.0"),
+])
+def test_a_bad_value_is_named_as_given(argv, message):
+    cp = run_cli(*argv)
+    assert cp.returncode == 2
+    assert cp.stderr == f"error: {message}\n"
+
+
 def test_reproduce_fig5_rejects_tiny_n_max():
     cp = run_cli("reproduce", "fig5a", "--n-max", "1")
     assert cp.returncode == 2

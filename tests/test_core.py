@@ -232,6 +232,8 @@ def test_phys_params_validation():
         PhysParams(tau_c=0.0)
     with pytest.raises(OutOfRange):
         PhysParams(delta_e=-1.0)
+    with pytest.raises(OutOfRange, match=r"gamma_prime must be >= 0, got -1\.0"):
+        PhysParams(gamma_prime=-1.0)
     with pytest.raises(NonFiniteCoordinate):
         PhysParams(b0=float("nan"))
     params = PhysParams(t=0.0)

@@ -346,12 +346,26 @@ def test_reversal_pairing_equals_the_searched_pairing(name, offset, monkeypatch)
     assert np.array(got).tobytes() == np.array(_dict_paired_parity(state, chain, params)).tobytes()
 
 
+def _open_sparse(rng, n, rows):
+    """A random state on `rows` bitstrings with qubit 1 unexcited, none the complement of
+    another, plus the complements of some but not all of them."""
+    low = rng.random((rows, n)) < 0.5
+    low[:, 0] = False
+    low = np.unique(low, axis=0)
+    bits = np.concatenate([low, ~low[: int(rng.integers(1, len(low)))]])
+    amps = rng.normal(size=len(bits)) + 1j * rng.normal(size=len(bits))
+    return SparseState.from_terms(n, zip(("".join("01"[b] for b in row) for row in bits.tolist()),
+                                         (amps / np.linalg.norm(amps)).tolist()))
+
+
 @pytest.mark.parametrize("seed", range(2433, 2438))
-def test_searched_pairing_on_open_supports_equals_the_dict_pairing(seed):
+@pytest.mark.parametrize("n", [7, 20, 62, 63, 100])  # up to rows no int64 index holds
+def test_searched_pairing_on_open_supports_equals_the_dict_pairing(n, seed):
     rng = np.random.default_rng(seed)
-    state = random_sparse(rng, 7, size=int(rng.integers(2, 60)))
+    state = _open_sparse(rng, n, int(rng.integers(2, 60)))
     got = measurement._complement_rows(state.bits)
     assert not isinstance(got[0], slice)
+    assert 0 < len(got[0]) < state.support_size
     for part, want in zip(got, reference_complement_pairing(state.bits)):
         assert part.tobytes() == want.tobytes()
 

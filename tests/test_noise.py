@@ -442,7 +442,7 @@ def test_mc_streams_are_chunk_layout_invariant(monkeypatch):
 @pytest.mark.parametrize("n_traj", [1, 8191, 8192, 8193, 20000])  # around the chunk edges
 def test_char_function_bytes_equal_the_four_normal_reference(n_traj):
     for seed, t, weight in ((5, 0.01, 1), (6, 0.7, 4), (7, 2.5, 9), (8, 40.0, 2)):
-        got = noise_module._char_function(seed, n_traj, t, MODEL, MODEL.gamma_prime, weight)
+        got = noise_module._char_function(seed, n_traj, t, MODEL, weight)
         want = reference_char_function(seed, n_traj, t, MODEL, MODEL.gamma_prime, weight)
         assert got.tobytes() == want.tobytes(), (seed, t, weight)
 
@@ -453,10 +453,10 @@ def test_char_function_peaks_at_its_one_block(n_traj):
     # cast buffer for the complex product (bufsize complex128 entries) is allocated,
     # where fresh temporaries, with the last chunk's still held, would peak higher
     width = min(noise_module.MC_CHUNK, n_traj)
-    noise_module._char_function(3, n_traj, 0.7, MODEL, MODEL.gamma_prime, 4)  # numpy's lazy set-up
+    noise_module._char_function(3, n_traj, 0.7, MODEL, 4)  # numpy's lazy set-up
     tracemalloc.start()
     try:
-        noise_module._char_function(4, n_traj, 0.7, MODEL, MODEL.gamma_prime, 4)
+        noise_module._char_function(4, n_traj, 0.7, MODEL, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -335,6 +335,12 @@ def test_fig3_factor_out_flag_divides_the_prefactor():
         sweep_fig3(points=1)
 
 
+@pytest.mark.parametrize("t_max", [-1.0, 0.0, math.inf, math.nan])
+def test_fig3_names_a_t_max_that_is_not_finite_and_positive(t_max):
+    with pytest.raises(OutOfRange, match=f"t_max must be finite and > 0, got {t_max!r}"):
+        sweep_fig3(points=3, t_max=t_max)
+
+
 def test_fig4_sweep_symmetry_ordering_and_peak():
     n = 12
     sweep = sweep_fig4(n=n, length=1.0, gamma_t=1.0)
