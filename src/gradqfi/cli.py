@@ -499,7 +499,8 @@ def cmd_noise_scan(cfg: RunConfig) -> int:
     model = NoiseModel.from_params(params)
     t_max = cfg.t_max if cfg.t_max is not None else 3.0 * params.tau_c
     if not (math.isfinite(t_max) and t_max > 0):
-        raise ValidationError(f"--t-max must be > 0, got {t_max!r}")
+        name = "--t-max" if cfg.t_max is not None else "the default --t-max, 3 × --tau-c,"
+        raise ValidationError(f"{name} must be finite and > 0, got {t_max!r}")
     times = (t_max * (i / (cfg.points - 1)) for i in range(cfg.points))
     rows = [(t, correlation_integral(model, t), coherence_factor(model, t, cfg.n)) for t in times]
     columns = ("t", "correlation", "coherence")

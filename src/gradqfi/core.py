@@ -354,8 +354,9 @@ class SpectralState:
     within 1e-12 and the eigenvectors are orthogonal within 1e-10, keeps the
     pairs and converts them by a thin QR per sector, A = QR, m = R W R^dagger.
     Otherwise weights, vectors (the (rank, rows) eigenvector matrix) and
-    eigenpairs are lazy views of m's spectrum above _WEIGHT_DROP.  excitations
-    is each row's count, as on SparseState.
+    eigenpairs are lazy views of m's spectrum above _WEIGHT_DROP, for the public
+    API only: every evolution, QFI and readout reads bits, sector, basis and m.
+    excitations is each row's count, as on SparseState.
     """
 
     n_qubits: int

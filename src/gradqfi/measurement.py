@@ -12,13 +12,14 @@ d phase / dG = gamma t lambda_I, so derivatives are exact (no finite
 differences anywhere outside the test suite).  phase(I) and lambda_I come
 from core._evolution_terms on the state's bit matrix, the rule evolve
 uses, so a readout and the evolved state agree digit for digit even on
-chains far from x0.  Parity pairs each row with its complement: with no row
-when no excitation count k occurs with N - k (0, with no phase computed), row
-s - 1 - I on a complement-closed support (product, GHZ, balanced Dicke), else
-by one search of every row's complement among the rows' byte-string keys, at
-any N.  The J_x readout scatters the amplitudes into dense 2^N vectors and is
-capped at N = 12.  A distribution the library computes that fails its own sum
-checks raises SelfCheckFailed, not the OutOfRange a user-built one gets.
+chains far from x0.  Both read a mixed state on its sector columns, never its
+eigen-views.  Parity pairs each row with its complement: with no row when no
+excitation count k occurs with N - k (0, with no phase computed), row s - 1 - I
+on a complement-closed support (product, GHZ, balanced Dicke), else by one
+search of every row's complement among the rows' byte-string keys, at any N.
+J_x scatters each column into a dense 2^N row, so it is capped at N = 12.  A
+distribution the library computes that fails its own sum checks raises
+SelfCheckFailed, not the OutOfRange a user-built one gets.
 
 Note on two-branch states: sigma_x^(x)N connects a bitstring only to its
 complement, so an unbalanced two-branch state (k excitations vs k
@@ -181,15 +182,18 @@ def classical_fisher(dist: OutcomeDistribution) -> FisherReport:
     return FisherReport(total, "closed-form:cfi")
 
 
-def _walsh_hadamard(vec: np.ndarray) -> np.ndarray:
-    """Orthonormal Hadamard transform H^(x)n applied to a dense 2^n vector: butterflies on
-    index pairs (i, i + h) for h = 1, 2, 4, ..., then one division by sqrt(2^n)."""
-    out, h = vec, 1
-    while h < len(vec):
-        pair = out.reshape(-1, 2, h)
-        out = np.stack((pair[:, 0] + pair[:, 1], pair[:, 0] - pair[:, 1]), axis=1)
+def _walsh_hadamard(block: np.ndarray) -> np.ndarray:
+    """Orthonormal H^(x)n along the first axis (2^n long) of a contiguous array, in place:
+    butterflies on index pairs (i, i + h), h = 1, 2, 4, ..., then / sqrt(2^n).  Returns it."""
+    size, h = len(block), 1
+    while h < size:
+        low, high = block.reshape(size // (2 * h), 2, -1).swapaxes(0, 1)  # rows I, I + h
+        diff = low - high
+        low += high
+        high[...] = diff
         h *= 2
-    return out.reshape(-1) / math.sqrt(len(vec))
+    block /= math.sqrt(size)
+    return block
 
 
 def _basis_excitations(n_qubits: int) -> np.ndarray:
@@ -206,34 +210,33 @@ def jx_distribution(
 ) -> OutcomeDistribution:
     """Projective J_x statistics: outcomes labeled by eigenvalue N/2 - k.
 
-    Transforms the evolved dense vector(s) into the x basis with a
-    Walsh-Hadamard transform and groups probability (and its analytic dG
-    derivative) by the number of |-> factors.  Needs n <= the dense cap;
-    _evolution_terms checks that the state fits the chain.
+    The evolved columns q_g of rho = sum_gh m_gh |q_g><q_h| (pure: one column, m = [[1]])
+    go to the x basis as X_g, and -i gamma t mu q_g as Y_g, lambda = kappa_g + mu with
+    kappa_g lambda on the first nonzero row of g's sector.  Grouped by the count of |->:
+    p = Re sum m_gh X_g conj X_h, dp = 2 Re sum m_gh Y_g conj X_h + gamma t sum (kappa_g
+    - kappa_h) Im(m_gh X_g conj X_h): a coherence of m stays a factor, and lambda's large
+    constant far from x0 enters only as kappa_g - kappa_h.  Needs n <= the dense cap.
     """
-    n = state.n_qubits
-    gt = params.gamma * params.t
+    n, gt = state.n_qubits, params.gamma * params.t
     counts = _basis_excitations(n)
-    probs = np.zeros(n + 1, dtype=np.float64)
-    derivs = np.zeros(n + 1, dtype=np.float64)
-    place = 1 << np.arange(n - 1, -1, -1)  # qubit 1 is the most significant bit
     phase, lam = _evolution_terms(state.bits, config, params, state.excitations)
-    index = state.bits @ place
-    for weight, row in zip(state.weights, state.vectors):
-        nz = np.flatnonzero(row)  # only the eigenvector's own entries are scattered
-        amps = _cmul(row[nz], np.cos(phase[nz]), -np.sin(phase[nz]))
-        dense, ddense = np.zeros((2, 1 << n), dtype=np.complex128)
-        dense[index[nz]] = amps
-        # a constant in lambda drops out of every dp exactly, so measure it
-        # from the first row: far from x0 the c (n/2 - k) term then cancels
-        # here, within a sector, instead of in the sum over outcomes
-        ddense[index[nz]] = _cmul(amps, 0.0, -gt * (lam[nz] - lam[nz[0]]))
-        x_amp = _walsh_hadamard(dense)
-        x_damp = _walsh_hadamard(ddense)
-        p = x_amp.real**2 + x_amp.imag**2
-        dp = 2.0 * (x_amp.conj() * x_damp).real
-        probs += weight * np.bincount(counts, weights=p, minlength=n + 1)
-        derivs += weight * np.bincount(counts, weights=dp, minlength=n + 1)
+    if isinstance(state, SparseState):
+        sector, basis, m = np.zeros(len(lam), np.intp), state.amps[:, None], np.ones((1, 1))
+    else:
+        sector, basis, m = state.sector, state.basis, state.m
+    width = basis.shape[1]
+    first = np.argmax((np.arange(len(m) // width)[:, None] == sector) & basis.any(axis=1), axis=1)
+    q = _cmul(basis, np.cos(phase)[:, None], -np.sin(phase)[:, None])
+    index = state.bits @ (1 << np.arange(n - 1, -1, -1))  # qubit 1 is the most significant bit
+    at = (index[:, None], (sector * width)[:, None] + np.arange(width))  # (index, column)
+    block = np.zeros((1 << n, 2, len(m)), dtype=np.complex128)  # (index, X or Y, column)
+    block[:, 0][at], block[:, 1][at] = q, _cmul(q, 0.0, -gt * (lam - lam[first][sector])[:, None])
+    x, y = _walsh_hadamard(block).swapaxes(0, 1)
+    kappa = np.repeat(lam[first], width)
+    z, w = x @ m, x @ ((kappa[:, None] - kappa) * m)
+    p = (z.real * x.real + z.imag * x.imag).sum(axis=1)  # |x|^2 bit for bit if z = x (pure)
+    dp = 2.0 * (z.conj() * y).real.sum(axis=1) + gt * (w * x.conj()).imag.sum(axis=1)
+    probs, derivs = (np.bincount(counts, weights=v, minlength=n + 1) for v in (p, dp))
     return _computed_distribution(
         tuple((f"{0.5 * n - k:g}", float(probs[k]), float(derivs[k])) for k in range(n + 1))
     )

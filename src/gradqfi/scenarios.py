@@ -14,7 +14,7 @@ function of its arguments, so outputs are bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Sequence
 
@@ -315,12 +315,11 @@ def brute_force_placement_search(
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Figure data: axis name, column names (axis first), numeric rows, metadata."""
+    """Figure data: axis name, column names (axis first), numeric rows."""
 
     axis: str
     columns: tuple[str, ...]
     rows: tuple[tuple[float, ...], ...]
-    meta: dict = dataclass_field(default_factory=dict)
 
     def __post_init__(self):
         for row in self.rows:
@@ -369,30 +368,17 @@ def sweep_fig3(
     for t in (t_max * (i / (points - 1)) for i in range(points)):
         d = coherence_factor(model, t, n)
         rows.append((t, d * geo if factor_out_gamma_t else d * geo * (params.gamma * t) ** 2))
-    meta = {
-        "n": n,
-        "gamma_prime_delta_e": params.gamma_prime * params.delta_e,
-        "tau_c": params.tau_c,
-        "gamma": params.gamma,
-        "factor_out_gamma_t": factor_out_gamma_t,
-    }
-    return SweepResult("time", ("t", "qfi"), tuple(rows), meta)
+    return SweepResult("time", ("t", "qfi"), tuple(rows))
 
 
-def sweep_fig4(
-    n: int = 100,
-    length: float = 1.0,
-    gamma_t: float = 1.0,
-    *,
-    normalized_index: bool = True,
-) -> SweepResult:
+def sweep_fig4(n: int = 100, length: float = 1.0, gamma_t: float = 1.0) -> SweepResult:
     """Decoherence-free QFI against excitation number k for four placements.
 
     Columns at k = n/2 obey half-half >= tanh >= equidistant >= tan; all
-    curves are symmetric about n/2 exactly.  The tanh/tan placements use
-    the index-normalized variant by default so the shapes survive
-    length != n (the verbatim variant collapses toward the interval end
-    whenever 2i/length is large).
+    curves are symmetric about n/2 exactly.  The tanh/tan placements always
+    use the index-normalized variant so the shapes survive length != n (the
+    verbatim variant collapses toward the interval end whenever 2i/length
+    is large).
     """
     if n < 2:
         raise OutOfRange(f"n must be >= 2, got {n}")
@@ -400,9 +386,8 @@ def sweep_fig4(
     kinds = ("half-half", "tanh", "equidistant", "tan")
     configs = {}
     for kind in kinds:
-        norm = normalized_index if kind in ("tanh", "tan") else False
         configs[kind] = generate_placement(
-            PlacementSpec(kind, n, 0.0, length, normalized_index=norm)
+            PlacementSpec(kind, n, 0.0, length, normalized_index=kind in ("tanh", "tan"))
         )
     rows = []
     for k in range(n + 1):
@@ -410,8 +395,7 @@ def sweep_fig4(
             (float(k),)
             + tuple(_dfs_report(configs[kind], params, k).value for kind in kinds)
         )
-    meta = {"n": n, "length": length, "gamma_t": gamma_t, "normalized_index": normalized_index}
-    return SweepResult("excitation_k", ("k",) + kinds, tuple(rows), meta)
+    return SweepResult("excitation_k", ("k",) + kinds, tuple(rows))
 
 
 def sweep_fig5(
@@ -467,8 +451,7 @@ def sweep_fig5(
                 if not math.isfinite(value):
                     raise NumericOverflow(f"the {name} value overflows float64 at n = {n}")
             rows.append((float(n), *map(_fisher_value, values)))
-    meta = {"length": length, "gamma_t": gamma_t, "case": "a" if tag == "a" else "b"}
-    return SweepResult("qubit_count", columns, tuple(rows), meta)
+    return SweepResult("qubit_count", columns, tuple(rows))
 
 
 def fit_loglog_slope(ns: Sequence[float], values: Sequence[float]) -> float:

@@ -416,6 +416,37 @@ def reference_form_parity(form, config, params):
     return value, grad
 
 
+def reference_form_jx(form, config, params):
+    """J_x probabilities and derivatives of a sector form, one sector column at a time:
+    column g evolved and scattered into X_g, and -i gamma t (lambda - kappa_g) times it
+    into Y_g, with kappa_g lambda on the sector's first row; each transformed on its own.
+    Then p = Re sum_gh m_gh X_g conj X_h and dp = 2 Re sum_gh m_gh Y_g conj X_h + gamma t
+    sum_gh (kappa_g - kappa_h) Im(m_gh X_g conj X_h), each sum over h written as the
+    readout writes it."""
+    bits, sector, unit, m = reference_evolve_form(form, config, params)
+    _, lam = core._evolution_terms(bits, config, params)
+    n, gt = config.n, params.gamma * params.t
+    index = bits @ (1 << np.arange(n - 1, -1, -1))
+    columns = []
+    kappa = np.zeros(len(m))
+    for g in range(len(m)):
+        rows = np.flatnonzero(sector == g)
+        kappa[g] = lam[rows[0]]
+        x, y = np.zeros((2, 1 << n), dtype=np.complex128)
+        x[index[rows]] = unit[rows]
+        y[index[rows]] = core._cmul(unit[rows], 0.0, -gt * (lam[rows] - kappa[g]))
+        columns.append((measurement._walsh_hadamard(x), measurement._walsh_hadamard(y)))
+    x, y = (np.stack(part, axis=1) for part in zip(*columns))  # (index, column)
+    z, w = x @ m, x @ ((kappa[:, None] - kappa) * m)
+    p = (z.real * x.real + z.imag * x.imag).sum(axis=1)
+    dp = 2.0 * (z.conj() * y).real.sum(axis=1) + gt * (w * x.conj()).imag.sum(axis=1)
+    counts = measurement._basis_excitations(n)
+    probs = np.bincount(counts, weights=p, minlength=n + 1)
+    derivs = np.bincount(counts, weights=dp, minlength=n + 1)
+    # a probability below 0 is read as 0, as OutcomeDistribution reads it
+    return [((0.0 if p < 0.0 else float(p)).hex(), float(d).hex()) for p, d in zip(probs, derivs)]
+
+
 def reference_channel_pairs(state, model, t):
     return reference_form_pairs(state.n_qubits, reference_channel_form(state, model, t))
 
@@ -578,6 +609,10 @@ def random_mixture(rng, n, rank):
         )
         pairs.append((float(weights[r]), SparseState.from_terms(n, terms)))
     return SpectralState(n, tuple(pairs))
+
+
+# coherence factors from mild to far below the smallest eigen-weight gap float64 resolves
+COHERENCES = (1e-2, 1e-6, 1e-9, 1e-12, 1e-15, 1e-20, 1e-30, 1e-40, 1e-60, 1e-100)
 
 
 def params_with_coherence(d, weight, **params):

@@ -394,6 +394,10 @@ def test_reproduce_rejects_json_format():
 @pytest.mark.parametrize("argv, message", [
     (("reproduce", "fig3", "--t-max", "-1"), "t_max must be finite and > 0, got -1.0"),
     (("reproduce", "fig3", "--t-max", "inf"), "t_max must be finite and > 0, got inf"),
+    (("noise-scan", "--t-max", "inf"), "--t-max must be finite and > 0, got inf"),
+    # the default 3 tau_c overflows: the flag the user gave is named
+    (("noise-scan", "--tau-c", "1e308"),
+     "the default --t-max, 3 × --tau-c, must be finite and > 0, got inf"),
     (("qfi", "--gamma-prime", "-1"), "gamma_prime must be >= 0, got -1.0"),
 ])
 def test_a_bad_value_is_named_as_given(argv, message):

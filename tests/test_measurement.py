@@ -33,6 +33,8 @@ from gradqfi import (
 from gradqfi.core import SparseState, SpectralState, _cmul, _evolution_terms
 
 from conftest import (
+    COHERENCES,
+    dense_rho,
     oracle_parity,
     params_with_coherence,
     random_chain,
@@ -41,7 +43,6 @@ from conftest import (
     random_sparse,
     reference_complement_pairing,
     rel_dev,
-    to_dense,
 )
 
 
@@ -567,21 +568,25 @@ def test_jx_distribution_matches_dense_hadamard_oracle(n):
     rng = np.random.default_rng(991 + n)
     chain = random_chain(rng, n)
     params = random_params(rng)
-    state = random_sparse(rng, n)
-    dist = jx_distribution(state, chain, params)
 
-    # oracle: rotate the evolved dense vector with an explicit H^(x)n
+    # oracle: rotate the evolved dense rho with an explicit H^(x)n
     from conftest import dense_unitary
 
     h1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
     had = np.array([[1.0]])
     for _ in range(n):
         had = np.kron(had, h1)
-    x_amp = had @ (dense_unitary(chain, params) @ to_dense(state))
-    probs = np.zeros(n + 1)
-    for idx in range(1 << n):
-        probs[bin(idx).count("1")] += abs(x_amp[idx]) ** 2
-    np.testing.assert_allclose(dist.probabilities, probs, atol=1e-12)
+    rotate = had @ dense_unitary(chain, params)
+    # a pure state, and a mixture whose widest sector holds min(3, n) columns
+    states = (random_sparse(rng, n), random_mixture(rng, n, rank=min(3, 1 << n)))
+    assert states[1].basis.shape[1] == min(3, n)
+    for state in states:
+        dist = jx_distribution(state, chain, params)
+        rho = rotate @ dense_rho(state) @ rotate.conj().T
+        probs = np.zeros(n + 1)
+        for idx in range(1 << n):
+            probs[bin(idx).count("1")] += rho[idx, idx].real
+        np.testing.assert_allclose(dist.probabilities, probs, atol=1e-12)
 
 
 def test_jx_parity_coarse_graining():
@@ -600,19 +605,20 @@ def test_jx_derivatives_match_finite_differences():
     rng = np.random.default_rng(998)
     chain = random_chain(rng, 3)
     params = random_params(rng)
-    state = random_sparse(rng, 3)
     delta = 1e-6
-    dist = jx_distribution(state, chain, params)
 
-    def probs(g):
+    def probs(state, g):
         shifted = PhysParams(
             gamma=params.gamma, b0=params.b0, grad=g, t=params.t,
             gamma_prime=params.gamma_prime, delta_e=params.delta_e, tau_c=params.tau_c,
         )
         return np.asarray(jx_distribution(state, chain, shifted).probabilities)
 
-    fd = (probs(params.grad + delta) - probs(params.grad - delta)) / (2 * delta)
-    np.testing.assert_allclose(dist.derivatives, fd, rtol=1e-5, atol=1e-7)
+    # a pure state, and a mixture with a three-column sector
+    for state in (random_sparse(rng, 3), random_mixture(rng, 3, rank=3)):
+        dist = jx_distribution(state, chain, params)
+        fd = (probs(state, params.grad + delta) - probs(state, params.grad - delta)) / (2 * delta)
+        np.testing.assert_allclose(dist.derivatives, fd, rtol=1e-5, atol=1e-7)
 
 
 @pytest.mark.parametrize("b0", [0.0, 0.2])
@@ -759,3 +765,24 @@ def test_strongly_dephased_ghz_parity_cfi_keeps_its_coherence(d):
     got = classical_fisher(parity_distribution(state, chain, params)).value
     assert want > 0.0
     assert rel_dev(got, want) < 1e-12
+
+
+@pytest.mark.parametrize("d", COHERENCES)
+def test_strongly_dephased_ghz_jx_cfi_keeps_its_coherence(d):
+    # a GHZ's x-basis probabilities depend on x only through its parity, so the J_x CFI is
+    # the parity closed form; d must stay a factor of m, not eigen-weights (1 +/- d) / 2
+    rng = np.random.default_rng(2204)
+    for n in range(2, 9):
+        chain = make_chain(np.sort(rng.uniform(-1.0, 1.0, size=n)) + 0.6, x0=0.0)
+        params = params_with_coherence(d, n, gamma=1.1, b0=0.05, grad=0.3)
+        model = NoiseModel.from_params(params)
+        state = apply_channel(make_named_state("ghz", n), model, params.t)
+        sum_f = math.fsum(chain.f_values)
+        gt = params.gamma * params.t
+        alpha = n * gt * params.b0 + gt * params.grad * sum_f
+        coherence = coherence_factor(model, params.t, n)
+        want = (coherence * math.sin(alpha) * gt * sum_f) ** 2
+        want /= 1.0 - (coherence * math.cos(alpha)) ** 2
+        got = classical_fisher(jx_distribution(state, chain, params)).value
+        assert want > 0.0
+        assert rel_dev(got, want) < 1e-12, n

@@ -40,6 +40,7 @@ from conftest import (
     reference_char_function,
     reference_evolve_form,
     reference_evolve_pairs,
+    reference_form_jx,
     reference_form_pairs,
     reference_form_parity,
     reference_jx,
@@ -367,8 +368,12 @@ def test_one_state_form_gives_the_per_eigenvector_bytes(n):
             assert abs(value - oracle_value) <= 1e-12
             assert abs(grad - oracle_grad) <= 1e-9 * max(abs(oracle_grad), scale)
             outcomes = jx_distribution(got, chain, params).outcomes
-            want_jx = reference_jx(want, chain, params)
+            want_jx = reference_form_jx(form, chain, params)
             assert [(p.hex(), dp.hex()) for _, p, dp in outcomes] == want_jx
+            for (_, p, dp), oracle in zip(outcomes, reference_jx(want, chain, params)):
+                oracle_p, oracle_dp = map(float.fromhex, oracle)
+                assert abs(p - oracle_p) <= 1e-12
+                assert abs(dp - oracle_dp) <= 1e-9 * max(abs(oracle_dp), scale)
 
 
 def _sector_coherences(psi, mixed):

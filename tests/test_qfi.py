@@ -36,6 +36,7 @@ from gradqfi import (
 )
 
 from conftest import (
+    COHERENCES,
     oracle_qfi,
     oracle_qfi_pure,
     params_with_coherence,
@@ -479,10 +480,7 @@ def test_sector_index_validation():
         qfi_noisy_psim(chain, params, 5)
 
 
-_COHERENCES = (1e-2, 1e-6, 1e-9, 1e-12, 1e-15, 1e-20, 1e-30, 1e-40, 1e-60, 1e-100)
-
-
-@pytest.mark.parametrize("d", _COHERENCES)
+@pytest.mark.parametrize("d", COHERENCES)
 def test_strongly_dephased_ghz_keeps_its_coherence(d):
     # the coherence d enters the value as d^2 and lives in one entry of the
     # sector matrix, not in eigen-weights (1 +/- d) / 2
@@ -496,7 +494,7 @@ def test_strongly_dephased_ghz_keeps_its_coherence(d):
     assert rel_dev(qfi_general(state, chain, params).value, want) < 1e-12
 
 
-@pytest.mark.parametrize("d", _COHERENCES)
+@pytest.mark.parametrize("d", COHERENCES)
 def test_strongly_dephased_psi_m_matches_its_branch_gap(d):
     # at the sign split (m counts the qubits with f <= 0) the gap is sum |f|, the
     # closed form's; at any other m it is sum_i s_i f_i with s_i = -1 on the flipped block
