@@ -643,7 +643,7 @@ def cmd_validate(cfg: RunConfig) -> int:
             )
             config = make_chain(xs, x0)
             gt = params.gamma * params.t
-            scale = max(gt * gt * sum(abs(f) for f in config.f_values) ** 2, 1.0)
+            scale = max(gt * gt * sum(map(abs, config.f_array.tolist())) ** 2, 1.0)
             chains.append((config, params, scale))
 
     lines: list[str] = []

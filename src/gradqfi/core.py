@@ -14,12 +14,12 @@ belongs to qubit 1 (the smallest f).  sigma_z |0> = +|0>.
 
 A state is an ascending bool matrix with a row per basis bitstring (column
 i is qubit i + 1) and its amplitudes; a mixed state holds instead each
-row's entries in its excitation sector's orthonormal columns and the matrix
-of rho between the columns.  Only SparseState.from_terms and .terms spell
-rows as '0'/'1' strings.  The gradient reaches a state only through the
-phase each row picks up, summed by _excited_sums (with lambda_I of H_G only
-for the readouts) by prefix doubling on a full support, else in one pass over
-each qubit's row; a state counts its rows' excitations once, on first use.
+row's entries in its excitation sector's orthonormal columns, the matrix m of
+rho between them and, from first use, m's one eigh for its positivity check,
+eigen-views and QFI.  Only SparseState.from_terms and .terms spell rows as
+'0'/'1' strings.  The gradient reaches a state only through the phase each row
+picks up, summed by _excited_sums (with lambda_I of H_G only for the readouts)
+by prefix doubling on a full support, else in one pass over each qubit's row.
 
 Public constructors check their input; the library builds its own states
 and chains through _frozen, unchecked.  Everything here is immutable and
@@ -136,22 +136,22 @@ class ChainConfig:
     positions must already be ordered by ascending f(x - x0); the
     constructor checks that with vector tests on the float64 positions p
     and on f = f(p - x0).  make_chain sorts (stable on ties), checks once
-    and builds the chain unchecked.  positions and f_values are p and f as
-    tuples of floats, and f_array is f itself, read-only.
+    and builds the chain unchecked.  positions is p as a tuple of floats, f_array
+    is f itself, read-only, and the f_values property builds f's tuple on access.
     """
 
     positions: tuple[float, ...]
     x0: float = 0.0
     profile: FieldProfile = LINEAR
-    f_values: tuple[float, ...] = field(init=False, repr=False)
     f_array: np.ndarray = field(init=False, repr=False, compare=False)
+    f_values = property(lambda self: tuple(self.f_array.tolist()))  # f's floats, on access
 
     def __post_init__(self):
         p, f = _chain_arrays(self.positions, self.x0, self.profile)
         if (f[1:] < f[:-1]).any():
             raise OutOfRange("positions must be ordered by ascending profile value; "
                              "use make_chain")
-        _frozen(self, tuple(p.tolist()), self.x0, self.profile, tuple(f.tolist()), f)
+        _frozen(self, tuple(p.tolist()), self.x0, self.profile, f)
 
     @property
     def n(self) -> int:
@@ -188,7 +188,7 @@ def make_chain(
     p, f = _chain_arrays(positions, x0, profile)
     order = f.argsort(kind="stable")
     p, f = p[order], f[order]
-    return _frozen(ChainConfig, tuple(p.tolist()), float(x0), profile, tuple(f.tolist()), f)
+    return _frozen(ChainConfig, tuple(p.tolist()), float(x0), profile, f)
 
 
 # ----------------------------------------------------------------------
@@ -354,9 +354,9 @@ class SpectralState:
     within 1e-12 and the eigenvectors are orthogonal within 1e-10, keeps the
     pairs and converts them by a thin QR per sector, A = QR, m = R W R^dagger.
     Otherwise weights, vectors (the (rank, rows) eigenvector matrix) and
-    eigenpairs are lazy views of m's spectrum above _WEIGHT_DROP, for the public
-    API only: every evolution, QFI and readout reads bits, sector, basis and m.
-    excitations is each row's count, as on SparseState.
+    eigenpairs are lazy views, for the public API only, of _spectrum above
+    _WEIGHT_DROP: m's one checked eigh, which the QFI reads too.  Evolutions and
+    readouts read bits, sector, basis and m.  excitations is as on SparseState.
     """
 
     n_qubits: int
@@ -407,20 +407,29 @@ class SpectralState:
         vectors.setflags(write=False)  # the views are kept as given, with the counts
         self.__dict__.update(eigenpairs=pairs, weights=weights, vectors=vectors, excitations=k)
 
-    _spectrum = cached_property(lambda self: _kept_spectrum(self.m))  # for the views
     excitations = cached_property(lambda self: _excitations(self.bits))  # each row's, once
+
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """m's eigh (w ascending, u[:, c] w[c]'s eigenvector); w[0] < -NEG_EVAL_TOL raises."""
+        w, u = np.linalg.eigh(self.m)
+        if w[0] < -NEG_EVAL_TOL:
+            raise SpectrumNotPositive(f"density matrix has eigenvalue {w[0]:.6e}, "
+                                      f"below -{NEG_EVAL_TOL:g}")
+        return w, u
 
     @cached_property
     def weights(self) -> tuple[float, ...]:
         """m's eigenvalues above _WEIGHT_DROP, heaviest first, divided by their fsum."""
         w = self._spectrum[0]
+        w = w[w > _WEIGHT_DROP][::-1]
         return tuple((w / math.fsum(w)).tolist())
 
     @cached_property
     def vectors(self) -> np.ndarray:
-        """Eigenvector c of m spread over the rows, sum_a u[sector * width + a, c] basis[:, a],
+        """Weight c's eigenvector spread over the rows, sum_a u[sector * width + a, c] basis[:, a],
         with its entries at or below _AMP_DROP dropped and the rest renormalized."""
-        u, width = self._spectrum[1], self.basis.shape[1]
+        u, width = self._spectrum[1][:, ::-1][:, : self.rank], self.basis.shape[1]
         cols = (self.sector * width)[:, None] + np.arange(width)
         out = np.zeros((u.shape[1], len(self.bits)), dtype=np.complex128)
         for c, row in enumerate(out):
@@ -451,12 +460,15 @@ State = SparseState | SpectralState
 
 
 def _turns(bits: np.ndarray, config: ChainConfig, params: PhysParams) -> list[float]:
-    """gamma t (B0 + G f_i) modulo 4 pi per qubit, once bits is checked to fit the chain."""
+    """gamma t (B0 + G f_i) modulo 4 pi per qubit, once bits fits the chain and each is finite."""
     if bits.shape[1] != config.n:
         raise LengthMismatch(f"state has {bits.shape[1]} qubits but chain has {config.n}")
     gbt = params.gamma * params.b0 * params.t
     ggt = params.gamma * params.grad * params.t
-    return [math.remainder(gbt + ggt * fx, 4.0 * math.pi) for fx in config.f_values]
+    phases = [gbt + ggt * fx for fx in config.f_array.tolist()]
+    if not all(map(math.isfinite, phases)):  # inf, or inf - inf
+        raise NumericOverflow(f"the evolution phase overflows float64 at n = {config.n}")
+    return [math.remainder(phase, 4.0 * math.pi) for phase in phases]
 
 
 def _excited_sums(bits: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -491,9 +503,9 @@ def _evolution_terms(
     k, each row's excitation count, is counted from bits unless given.
     """
     turns = _turns(bits, config, params)
-    n = config.n
-    c = math.fsum(config.f_values) / n
-    centred = [fx - c for fx in config.f_values]
+    n, f = config.n, config.f_array.tolist()
+    c = math.fsum(f) / n
+    centred = [fx - c for fx in f]
     sums = _excited_sums(bits, np.array([turns, centred]))
     k = _excitations(bits) if k is None else k
     return 0.5 * math.fsum(turns) - sums[0], 0.5 * math.fsum(centred) - sums[1] + c * (0.5 * n - k)
@@ -551,6 +563,8 @@ def make_named_state(name: str, n_qubits: int, *, k: int | None = None, m: int |
     if name == "ghz" or (name == "psi-m" and m == 0):  # psi-m at m = 0 is the GHZ pair
         return _two_branch(n_qubits, n_qubits, 0)
     if name == "ghz-theta":
+        if not math.isfinite(theta):
+            raise NonFiniteCoordinate(f"theta must be finite, got {theta!r}")
         rel = complex(math.cos(theta), math.sin(theta)) * _SQRT_HALF
         return _two_branch(n_qubits, n_qubits, 0, rel)
     if name == "product":
@@ -622,18 +636,6 @@ _WEIGHT_DROP = 1e-14
 _AMP_DROP = 1e-14
 
 
-def _kept_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of a small Hermitian matrix above _WEIGHT_DROP, heaviest
-    first, and their eigenvectors as columns."""
-    w, u = np.linalg.eigh(m)
-    if w[0] < -NEG_EVAL_TOL:
-        raise SpectrumNotPositive(
-            f"density matrix has eigenvalue {w[0]:.6e}, below -{NEG_EVAL_TOL:g}"
-        )
-    keep = np.flatnonzero(w > _WEIGHT_DROP)[::-1]
-    return w[keep], u[:, keep]
-
-
 def _sector_spectral(
     n_qubits: int, bits: np.ndarray, amps: np.ndarray, decay: Sequence[complex]
 ) -> SpectralState:
@@ -662,5 +664,5 @@ def _sector_spectral(
     sector = (np.cumsum(mass > 0) - 1)[k]  # its index among the occupied sectors
     state = _frozen(SpectralState, n_qubits, bits, sector, unit[:, None], m)
     state.__dict__["excitations"] = k  # counted here already
-    state._spectrum  # M's one eigh: refuses an M that is not positive, kept for the views
+    state._spectrum  # M's one eigh: refuses an M that is not positive, kept for the QFI
     return state

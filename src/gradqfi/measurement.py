@@ -68,11 +68,11 @@ class OutcomeDistribution:
             total_p += p
             total_dp += dp
             abs_dp += abs(dp)
-        if abs(total_p - 1.0) > 1e-12:
+        if not abs(total_p - 1.0) <= 1e-12:  # NaN fails too
             raise OutOfRange(f"probabilities sum to {total_p!r}, expected 1 within 1e-12")
         # the derivatives cancel only to rounding of their own scale
         bound = 1e-10 * max(1.0, abs_dp)
-        if abs(total_dp) > bound:
+        if not abs(total_dp) <= bound:
             raise OutOfRange(f"derivatives sum to {total_dp!r}, expected 0 within {bound:g}")
         object.__setattr__(self, "outcomes", tuple(cleaned))
 
@@ -276,5 +276,5 @@ def theta_for_saturation(config: ChainConfig, params: PhysParams) -> float:
     tests and demonstrations; in the field alpha is not known a priori.
     """
     base = (config.n * params.gamma * params.b0 * params.t
-            + params.gamma * params.grad * params.t * float(sum(config.f_values)))
+            + params.gamma * params.grad * params.t * _seq_sum(config.f_array))
     return 0.5 * math.pi - base

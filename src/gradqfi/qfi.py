@@ -107,9 +107,9 @@ def _sector_qfi(state: SpectralState, f: np.ndarray, gt: float) -> float:
 
         (gamma t)^2 [ 2 sum_ab |(U^dagger [h, m] U)_ab|^2 / (w_a + w_b) + 4 tr(m G) ]
 
-    with m = U diag(w) U^dagger, over pairs with w_a + w_b above EIGEN_GAP_EPS
-    * max(w): the SLD formula with d rho = -i [H_G, rho] (Liu et al., J. Phys.
-    A 53, 023001 (2020)).  h_gh = <q_g|mu - mu_k|q_h> + (mu_k + c (k - k_0))
+    with m = U diag(w) U^dagger (the state's checked eigh), over pairs with w_a + w_b
+    above EIGEN_GAP_EPS * max(w): the SLD formula with d rho = -i [H_G, rho] (Liu et
+    al., J. Phys. A 53, 023001 (2020)).  h_gh = <q_g|mu - mu_k|q_h> + (mu_k + c (k - k_0))
     delta_gh is H_G on the columns, mu_I = sum_{i excited} (f_i - c), c = mean(f),
     mu_k mu on one row of sector k; G_gh = <r_g|r_h> for the residuals
     r_g = (mu - mu_k) q_g - sum_h q_h h_hg, which no sector constant enters.
@@ -130,7 +130,7 @@ def _sector_qfi(state: SpectralState, f: np.ndarray, gt: float) -> float:
     resid = mu[:, None] * basis - np.einsum("ia,iab->ib", basis, h[at])
     np.add.at(gram, at, resid.conj()[:, :, None] * resid[:, None, :])
     h += np.diag(np.repeat(shift + c * (k[some] - k[0]), width))
-    w, u = np.linalg.eigh(m)
+    w, u = state._spectrum
     commutator = u.conj().T @ (h @ m - m @ h) @ u
     pair = w[:, None] + w[None, :]
     keep = pair > EIGEN_GAP_EPS * w.max()

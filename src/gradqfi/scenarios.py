@@ -204,7 +204,7 @@ def optimal_time_ghz(config: ChainConfig, params: PhysParams) -> tuple[float, fl
     if rate == 0.0:
         raise NoNoise("gamma_prime * delta_e must be > 0 for an optimal time")
     t_opt = math.sqrt(2.0) / rate
-    full_sum = float(sum(config.f_values))
+    full_sum = _seq_sum(config.f_array)
     gg = params.gamma * params.gamma
     qfi_opt = 2.0 * gg * full_sum * full_sum / (math.e * rate * rate)
 
@@ -361,7 +361,7 @@ def sweep_fig3(
     if params is None:
         params = PhysParams(gamma=1.0, gamma_prime=2.0 * math.pi * 50.0, delta_e=1.0, tau_c=1.0)
     model = NoiseModel.from_params(params)
-    full_sum = float(sum(config.f_values))
+    full_sum = _seq_sum(config.f_array)
     geo = full_sum * full_sum
     n = config.n
     rows = []

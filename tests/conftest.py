@@ -359,11 +359,18 @@ def reference_sector_form(n, bits, amps, decay):
     return bits, sector[k], unit, m
 
 
+def reference_kept_spectrum(m):
+    """m's eigenvalues above core._WEIGHT_DROP, heaviest first, with eigenvector columns."""
+    w, u = np.linalg.eigh(m)
+    keep = np.flatnonzero(w > core._WEIGHT_DROP)[::-1]
+    return w[keep], u[:, keep]
+
+
 def reference_form_pairs(n, form):
     """Eigenpairs of a sector form, one SparseState each: eigenvector c of M spread as
     U[sector, c] * unit, its small entries dropped and the rest renormalized."""
     bits, sector, unit, m = form
-    w, u = core._kept_spectrum(m)
+    w, u = reference_kept_spectrum(m)
     vectors = (reference_unit_state(n, bits, u[sector, c] * unit) for c in range(len(w)))
     return reference_normalized(list(zip(w.tolist(), vectors)))
 
@@ -486,7 +493,7 @@ def reference_twirl_pairs(n, pairs):
         order = np.argsort(core._keys(bits))
         q, r = np.linalg.qr(v[:, order].T)
         weights = np.array([weight for weight, _, _ in comps])
-        w, u = core._kept_spectrum((r * weights) @ r.conj().T)
+        w, u = reference_kept_spectrum((r * weights) @ r.conj().T)
         vectors = (reference_unit_state(n, bits[order], q @ u[:, c]) for c in range(len(w)))
         out += zip(w.tolist(), vectors)
     return reference_normalized(out)

@@ -286,6 +286,15 @@ def _overflow(value, n):
      _overflow("placement-search", 4)),
     (("noise-scan", "--n", "20", "--delta-e", "1e200", "--points", "3"),
      _overflow("correlation", 20)),
+    # an evolution phase gamma t (B0 + G f_i) that is inf, or inf - inf
+    (("parity", "--state", "ghz", "--n", "3", "--gamma", "1e300", "--t", "1e300", "--grad", "1"),
+     "error: the evolution phase overflows float64 at n = 3\n"),
+    (("cfi", "--observable", "jx", "--state", "product", "--n", "4", "--length", "1e300",
+      "--grad", "1e300"), "error: the evolution phase overflows float64 at n = 4\n"),
+    (("parity", "--state", "ghz", "--n", "3", "--gamma", "1e10", "--b0", "1e300", "--grad",
+      "-1e300", "--x0", "-1"), "error: the evolution phase overflows float64 at n = 3\n"),
+    (("cfi", "--state", "ghz", "--n", "3", "--gamma", "1e10", "--b0", "1e300", "--grad",
+      "-1e300", "--x0", "-1"), "error: the evolution phase overflows float64 at n = 3\n"),
 ], ids=lambda value: "_".join(value) if isinstance(value, tuple) else "")
 def test_an_overflowing_value_is_one_named_error_line(argv, message, tmp_path, monkeypatch,
                                                      capsys):
@@ -399,6 +408,9 @@ def test_reproduce_rejects_json_format():
     (("noise-scan", "--tau-c", "1e308"),
      "the default --t-max, 3 × --tau-c, must be finite and > 0, got inf"),
     (("qfi", "--gamma-prime", "-1"), "gamma_prime must be >= 0, got -1.0"),
+    (("qfi", "--state", "ghz-theta", "--theta", "inf"), "theta must be finite, got inf"),
+    (("parity", "--state", "ghz-theta", "--theta", "nan", "--n", "3"),
+     "theta must be finite, got nan"),
 ])
 def test_a_bad_value_is_named_as_given(argv, message):
     cp = run_cli(*argv)

@@ -19,6 +19,7 @@ from gradqfi import (
     NonFiniteCoordinate,
     NoiseModel,
     NonNormalizedState,
+    NumericOverflow,
     OutOfRange,
     PhysParams,
     SparseState,
@@ -28,9 +29,11 @@ from gradqfi import (
     TrajectoryEnsemble,
     apply_channel,
     evolve,
+    jx_distribution,
     make_chain,
     make_named_state,
     mc_trajectory_average,
+    parity_distribution,
     steady_twirl,
 )
 from gradqfi.core import STATE_NAMES, _dicke_bits, _evolution_terms, _sector_spectral
@@ -455,6 +458,29 @@ def test_full_support_terms_equal_the_per_qubit_loop_bytes(n, offset):
             assert got.tobytes() == want.tobytes()
 
 
+_PHASE_READS = {
+    "evolve": lambda state, chain, params: evolve(state, chain, params),
+    "parity": lambda state, chain, params: parity_distribution(state, chain, params),
+    "jx": lambda state, chain, params: jx_distribution(state, chain, params),
+    "mc": lambda state, chain, params: mc_trajectory_average(
+        state, chain, params, TrajectoryEnsemble(8, seed=1)),
+}
+
+
+@pytest.mark.parametrize("read", sorted(_PHASE_READS))
+@pytest.mark.parametrize("params", [
+    PhysParams(gamma=1e300, t=1e300, grad=1.0),  # gamma B0 t + gamma G t f is inf
+    PhysParams(gamma=1e10, b0=1e300, grad=-1e300),  # inf - inf, a NaN
+], ids=["inf", "nan"])
+def test_an_overflowing_evolution_phase_is_a_named_error(read, params):
+    chain, state = make_chain([0.5, 1.0, 2.0]), make_named_state("ghz", 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericOverflow,
+                           match="^the evolution phase overflows float64 at n = 3$"):
+            _PHASE_READS[read](state, chain, params)
+
+
 def test_full_support_evolve_of_a_dephased_product_phases_each_row_as_the_loop():
     rng = np.random.default_rng(2418)
     chain = make_chain(1e4 + np.sort(rng.uniform(0.0, 1.0, size=9)), x0=0.0)
@@ -526,6 +552,12 @@ def test_ghz_theta_relative_phase():
     amps = dict(s.terms)
     ratio = amps["111"] / amps["000"]
     assert ratio == pytest.approx(complex(math.cos(theta), math.sin(theta)))
+
+
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+def test_ghz_theta_rejects_a_phase_that_is_not_finite(theta):
+    with pytest.raises(NonFiniteCoordinate, match=f"^theta must be finite, got {theta!r}$"):
+        make_named_state("ghz-theta", 3, theta=theta)
 
 
 def test_product_state_is_uniform():

@@ -420,6 +420,13 @@ def test_outcome_distribution_validation():
         OutcomeDistribution((("a", 0.5, 0.3), ("b", 0.5, 0.1)))
     dist = OutcomeDistribution((("a", 1.0, 0.2), ("b", 0.0, -0.2)))
     assert dist.probabilities == (1.0, 0.0)
+    # a NaN sum fails too: OutOfRange from the user, SelfCheckFailed from the library
+    for outcomes in ((("a", math.nan, 0.0),), (("a", 1.0, math.nan),),
+                     (("a", 0.5, math.nan), ("b", 0.5, 0.0))):
+        with pytest.raises(OutOfRange, match="sum to nan"):
+            OutcomeDistribution(outcomes)
+        with pytest.raises(SelfCheckFailed, match="sum to nan"):
+            measurement._computed_distribution(outcomes)
 
 
 # ----------------------------------------------------------------------

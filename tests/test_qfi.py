@@ -517,3 +517,24 @@ def test_strongly_dephased_psi_m_matches_its_branch_gap(d):
         assert rel_dev(got, want) < 1e-12, m
         if m == split:
             assert rel_dev(got, qfi_noisy_psim(chain, params, m).value) < 1e-12
+
+
+_MIXED = {
+    "dephased-ghz": lambda rng, n, params: apply_channel(
+        make_named_state("ghz", n), NoiseModel.from_params(params), params.t),
+    "twirled-product": lambda rng, n, params: steady_twirl(make_named_state("product", n)),
+    "user-built": lambda rng, n, params: random_mixture(rng, n, rank=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MIXED))
+def test_a_mixed_state_runs_one_eigh(name, monkeypatch):
+    # the positivity check, the QFI and the eigen-views read the state's one spectrum
+    rng = np.random.default_rng(2301)
+    chain, params = random_chain(rng, 4), random_params(rng)
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    state = _MIXED[name](rng, 4, params)
+    assert qfi_general(state, chain, params).value > 0.0
+    assert len(state.weights) == len(state.eigenpairs) > 1
+    assert len(calls) == 1

@@ -35,6 +35,7 @@ from gradqfi import (
     sweep_fig4,
     sweep_fig5,
     table1,
+    theta_for_saturation,
 )
 from gradqfi.qfi import _dfs_pair_sum
 
@@ -176,6 +177,36 @@ def test_pair_sums_equal_python_sum_bit_for_bit(seed):
             critical_time(chain, params)
     else:
         assert critical_time(chain, params).hex() == want.hex()
+
+
+@pytest.mark.parametrize("spec", [*range(16), ((-0.0,), 0.0), ((-0.0, -0.0, 0.5), 0.0),
+                                  ((0.3, 0.3, 0.3), 0.3), ((0.0, 1e8, 2e8), -0.0)], ids=str)
+def test_profile_sums_equal_python_sum_bit_for_bit(spec):
+    # sweep_fig3, optimal_time_ghz and theta_for_saturation read sum f bit for bit as
+    # Python's sum() of the profile tuple gives it: near x0, at x0 (f = 0) and far from it
+    rng = np.random.default_rng(9300 + (spec if isinstance(spec, int) else 99))
+    if isinstance(spec, int):
+        n, x0 = int(rng.integers(1, 40)), float(rng.uniform(-1, 1))
+        offset = (0.0, 1e2, 1e4, 1e8)[spec % 4]
+        positions = offset + 10.0 ** rng.uniform(-3, 3) * rng.uniform(-1, 1, n)
+        if spec % 8 >= 4:  # a qubit at x0
+            positions = np.append(positions, x0)
+    else:
+        positions, x0 = spec
+    chain = make_chain(positions, x0=x0)
+    params = PhysParams(*(float(x) for x in rng.uniform((0.5, -1, -1, 0.5, 0.5, 0.5, 0.5),
+                                                        (2, 1, 1, 2, 2, 1.5, 2))))
+    n, s = chain.n, float(sum(chain.f_values))
+    model, rate = NoiseModel.from_params(params), n * params.gamma_prime * params.delta_e
+    times = [0.01 * (i / 4) for i in range(5)]
+    want = [(t, coherence_factor(model, t, n) * (s * s) * (params.gamma * t) ** 2)
+            for t in times]
+    got = sweep_fig3(chain, params, points=5, t_max=0.01).rows
+    assert [[x.hex() for x in row] for row in got] == [[x.hex() for x in row] for row in want]
+    qfi_opt = 2.0 * params.gamma * params.gamma * s * s / (math.e * rate * rate)
+    assert optimal_time_ghz(chain, params)[1].hex() == qfi_opt.hex()
+    base = n * params.gamma * params.b0 * params.t + params.gamma * params.grad * params.t * s
+    assert theta_for_saturation(chain, params).hex() == (0.5 * math.pi - base).hex()
 
 
 def test_pair_sums_of_negative_zeros_are_positive_zero():

@@ -14,7 +14,7 @@ an invocation whose exit code, output or files changed.  The matrix covers
 every `reproduce` target, `validate`, `qfi`/`cfi`/`parity` for every state
 under every scenario at several sizes, J_x readouts, `tcrit`,
 `placement-search`, `noise-scan`, and invocations whose values overflow
-float64.  It takes no flags.
+float64 or that are not finite.  It takes no flags.
 """
 
 from __future__ import annotations
@@ -101,6 +101,16 @@ def invocations() -> list[tuple[str, ...]]:
     # psi-m off the sign split: the branch gap is not sum |f|
     runs.append(("qfi", "--scenario", "noisy", "--state", "psi-m", "--m", "3", "--n", "8",
                  "--t", "0.8", "--length", "2", "--delta-e", "0"))
+    # a theta that is not finite, and an evolution phase that is inf or inf - inf
+    runs += [
+        ("qfi", "--state", "ghz-theta", "--theta", "inf"),
+        ("parity", "--state", "ghz-theta", "--theta", "nan", "--n", "3"),
+        ("parity", "--state", "ghz", "--n", "3", "--gamma", "1e300", "--t", "1e300", "--grad", "1"),
+        ("cfi", "--observable", "jx", "--state", "product", "--n", "4", "--length", "1e300",
+         "--grad", "1e300"),
+        ("parity", "--state", "ghz", "--n", "3", "--gamma", "1e10", "--b0", "1e300", "--grad",
+         "-1e300", "--x0", "-1"),
+    ]
     return runs
 
 
