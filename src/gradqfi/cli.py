@@ -34,6 +34,7 @@ from .core import (
     PhysParams,
     SparseState,
     State,
+    _fsum,
     make_chain,
     make_named_state,
 )
@@ -433,7 +434,7 @@ def cmd_qfi(cfg: RunConfig) -> int:
         elif cfg.state == "psi-m":  # the gap of its branches: sum |f| only at the sign split
             f, flipped = config.f_array, cfg.named_state().bits[-1]  # 1^m 0..0, 1..1 at m = 0
             report = _dephased(params, abs(cfg.n - 2 * cfg.m_value()),
-                               float(np.where(flipped, -f, f).sum()), "closed-form:noisy-psim")
+                               _fsum(np.where(flipped, -f, f)), "closed-form:noisy-psim")
         elif cfg.state in ("dicke", "odf"):  # one excitation sector: decoherence-free
             report = _state_qfi(cfg, config, params)
         else:

@@ -159,17 +159,26 @@ class ChainConfig:
 
     @cached_property
     def spread(self) -> float:
-        """sum_i (f_i - mean f)^2 (see _spread), computed once; inf on overflow, silently."""
+        """sum_i (f_i - mean f)^2 (see _spread), computed once; inf where a square is inf."""
         with np.errstate(over="ignore"):
             return _spread(self.f_array - self.f_array.mean())
 
 
 def _spread(centred: np.ndarray) -> float:
-    """sum_i c_i^2 of the centred profile c = f - mean f by math.fsum, via a memoryview."""
+    """sum_i c_i^2 of the centred profile c = f - mean f by math.fsum, as _fsum rounds it."""
     try:
         return math.fsum(memoryview(centred * centred))
     except OverflowError:
         raise NumericOverflow(f"profile spread overflows float64 at n = {len(centred)}") from None
+
+
+def _fsum(x: np.ndarray) -> float:
+    """The correctly rounded sum of a float64 vector (+ 0.0 as sum() starts): math.fsum, or
+    where fsum raises (inf - inf, finite terms past float64) the inf or nan sum() gives."""
+    try:
+        return math.fsum(memoryview(x)) + 0.0
+    except (OverflowError, ValueError):
+        return sum(x.tolist())
 
 
 def make_chain(

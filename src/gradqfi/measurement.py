@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ChainConfig, PhysParams, SparseState, State, _cmul, _evolution_terms, _keys,
-                   _product_bits)
+from .core import (ChainConfig, PhysParams, SparseState, State, _cmul, _evolution_terms, _fsum,
+                   _keys)
 from .errors import DimensionTooLarge, FlatResponse, LengthMismatch, OutOfRange, SelfCheckFailed
 from .qfi import FisherReport, _seq_sum
 
@@ -197,12 +197,13 @@ def _walsh_hadamard(block: np.ndarray) -> np.ndarray:
 
 
 def _basis_excitations(n_qubits: int) -> np.ndarray:
-    """k(I) for every dense basis index I (qubit 1 = most significant bit)."""
+    """k(I), the set bits of every dense basis index I, doubled per bit as (k, k + 1)."""
     if n_qubits > _DENSE_CAP_QUBITS:
-        raise DimensionTooLarge(
-            f"J_x distribution needs n <= {_DENSE_CAP_QUBITS}, got {n_qubits}"
-        )
-    return _product_bits(n_qubits).sum(axis=1)
+        raise DimensionTooLarge(f"J_x distribution needs n <= {_DENSE_CAP_QUBITS}, got {n_qubits}")
+    k = np.zeros(1, dtype=np.intp)
+    for _ in range(n_qubits):
+        k = np.concatenate((k, k + 1))
+    return k
 
 
 def jx_distribution(
@@ -276,5 +277,5 @@ def theta_for_saturation(config: ChainConfig, params: PhysParams) -> float:
     tests and demonstrations; in the field alpha is not known a priori.
     """
     base = (config.n * params.gamma * params.b0 * params.t
-            + params.gamma * params.grad * params.t * _seq_sum(config.f_array))
+            + params.gamma * params.grad * params.t * _fsum(config.f_array))
     return 0.5 * math.pi - base

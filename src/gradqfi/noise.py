@@ -98,6 +98,8 @@ def correlation_integral(model: NoiseModel, t: float) -> float:
         return 0.0
     s = t / model.tau_c
     scale = model.delta_e * model.tau_c
+    if s == math.inf and scale * scale == 0.0:  # not 0 * inf: the limit 2 delta_e^2 tau_c t
+        return s if t == s else 2.0 * scale * (model.delta_e * t)
     return 2.0 * scale * scale * (math.expm1(-s) + s)
 
 

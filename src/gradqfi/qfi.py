@@ -23,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import noise as _noise
-from .core import (
-    ChainConfig, PhysParams, SparseState, SpectralState, State, _excitations, make_named_state,
-)
+from .core import (ChainConfig, PhysParams, SparseState, SpectralState, State, _excitations,
+                   _fsum, make_named_state)
 from .errors import LengthMismatch, OutOfRange
 
 # Relative cutoff: eigenvalue pairs of a mixed state's coefficient matrix with
@@ -175,7 +174,7 @@ def qfi_max_entangled(
     at the reference point has f = 0 and contributes nothing, so which
     block it joins is value-irrelevant; we put it in the flipped block).
     """
-    f_abs_sum = float(np.abs(config.f_array).sum())
+    f_abs_sum = _fsum(np.abs(config.f_array))
     value = _gt2(params) * f_abs_sum * f_abs_sum
     m = int(np.count_nonzero(config.f_array <= 0.0))
     state = make_named_state("psi-m", config.n, m=m)
@@ -193,23 +192,23 @@ def qfi_max_separable(config: ChainConfig, params: PhysParams) -> FisherReport:
 
 
 def _separable(gt2: float, f: np.ndarray) -> float:
-    """(gamma t)^2 sum_i f_i^2 from gt2 = (gamma t)^2 and a profile f (the centred one
-    for the steady product), summed by numpy; inf on overflow under the caller's errstate."""
-    return gt2 * float((f**2).sum())
+    """(gamma t)^2 sum_i f_i^2 from gt2 = (gamma t)^2 and a profile f, the sum correctly
+    rounded (_fsum); inf on overflow under the caller's errstate."""
+    return gt2 * _fsum(f * f)
 
 
 def _seq_sum(x: np.ndarray) -> float:
-    """Sum in index order, bit for bit as Python's sum() (np.sum adds pairwise);
+    """Sum in index order, bit for bit as Python's sum(), for parity's row sums only;
     + 0.0 is sum()'s start value 0, which turns an all -0.0 sum into 0.0."""
     with np.errstate(over="ignore", invalid="ignore"):  # inf/nan silently, as float arithmetic
         return float(np.cumsum(x)[-1]) + 0.0 if len(x) else 0.0
 
 
 def _dfs_pair_sum(f: np.ndarray, k: int) -> float:
-    """sum_{i<l} (f_i - f_{N-1-i}) with l = min(k, N-k), in index order as _seq_sum adds."""
+    """sum_{i<l} (f_i - f_{N-1-i}) with l = min(k, N-k), correctly rounded (_fsum)."""
     ell = min(k, len(f) - k)
     with np.errstate(over="ignore", invalid="ignore"):  # inf/nan silently, as float arithmetic
-        return float(np.cumsum(f[:ell] - f[::-1][:ell])[-1]) + 0.0 if ell else 0.0
+        return _fsum(f[:ell] - f[::-1][:ell])
 
 
 def _dfs_report(config: ChainConfig, params: PhysParams, k: int,
@@ -251,7 +250,7 @@ def qfi_noisy_ghz(config: ChainConfig, params: PhysParams) -> FisherReport:
     value = d(t)^2 (gamma t)^2 (sum_i f_i)^2 with the coherence factor
     d(t) of the full N-qubit coherence.
     """
-    return _dephased(params, config.n, float(config.f_array.sum()), "closed-form:noisy-ghz")
+    return _dephased(params, config.n, _fsum(config.f_array), "closed-form:noisy-ghz")
 
 
 def qfi_noisy_psim(config: ChainConfig, params: PhysParams, m: int) -> FisherReport:
@@ -266,8 +265,8 @@ def qfi_noisy_psim(config: ChainConfig, params: PhysParams, m: int) -> FisherRep
     n = config.n
     if not 0 <= m <= n:
         raise OutOfRange(f"m must be in [0, {n}], got {m!r}")
-    f_abs_sum = float(np.abs(config.f_array).sum())
-    return _dephased(params, abs(n - 2 * m), f_abs_sum, "closed-form:noisy-psim")
+    return _dephased(params, abs(n - 2 * m), _fsum(np.abs(config.f_array)),
+                     "closed-form:noisy-psim")
 
 
 def _dephased(params: PhysParams, weight: int, f_sum: float, path: str) -> FisherReport:
@@ -282,11 +281,9 @@ def qfi_product_steady(config: ChainConfig, params: PhysParams) -> FisherReport:
     The infinite-time twirl keeps only the excitation-sector-diagonal
     blocks; the surviving information is the profile variance:
     value = (gamma t)^2 sum_i (f_i - mean(f))^2, independent of x0 for
-    the linear profile.
+    the linear profile.  It reads the chain's spread, as qfi_dicke does.
     """
-    f = config.f_array
-    with np.errstate(over="ignore"):  # inf on overflow, as float arithmetic
-        return FisherReport(_separable(_gt2(params), f - f.mean()), "closed-form:product-steady")
+    return FisherReport(_gt2(params) * config.spread, "closed-form:product-steady")
 
 
 def qfi_dicke(config: ChainConfig, params: PhysParams, k: int) -> FisherReport:

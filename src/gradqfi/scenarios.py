@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .core import (
-    LINEAR, ChainConfig, FieldProfile, PhysParams, _spread, make_chain, make_named_state,
+    LINEAR, ChainConfig, FieldProfile, PhysParams, _fsum, _spread, make_chain, make_named_state,
 )
 from .errors import (
     DegenerateGeometry,
@@ -34,8 +34,7 @@ from .errors import (
 from .noise import NoiseModel, coherence_factor
 from .qfi import (
     FisherReport, _dfs_pair_sum, _gt2, _dfs_report, _dfs_value, _dicke, _fisher_value, _separable,
-    _seq_sum, _spectral_core, qfi_max_entangled, qfi_max_separable,
-    qfi_product_steady, qfi_pure,
+    _spectral_core, qfi_max_entangled, qfi_max_separable, qfi_product_steady, qfi_pure,
 )
 
 PLACEMENT_KINDS = ("equidistant", "all-at-end", "half-half", "tanh", "tan", "explicit")
@@ -159,7 +158,7 @@ def critical_time(config: ChainConfig, params: PhysParams) -> float:
     rate = config.n * params.gamma_prime * params.delta_e
     if rate == 0.0:
         raise NoNoise("gamma_prime * delta_e must be > 0 for a crossover time")
-    full_sum = _seq_sum(config.f_array)
+    full_sum = _fsum(config.f_array)
     pair_sum = _dfs_pair_sum(config.f_array, config.n // 2)
     if full_sum == 0.0 or pair_sum == 0.0:
         raise DegenerateGeometry("crossover needs nonzero profile sum and nonzero pair sum")
@@ -204,9 +203,10 @@ def optimal_time_ghz(config: ChainConfig, params: PhysParams) -> tuple[float, fl
     if rate == 0.0:
         raise NoNoise("gamma_prime * delta_e must be > 0 for an optimal time")
     t_opt = math.sqrt(2.0) / rate
-    full_sum = _seq_sum(config.f_array)
+    full_sum = _fsum(config.f_array)
     gg = params.gamma * params.gamma
-    qfi_opt = 2.0 * gg * full_sum * full_sum / (math.e * rate * rate)
+    num, den = 2.0 * gg * full_sum * full_sum, math.e * rate * rate
+    qfi_opt = num / den if den else num * math.inf  # x / +0.0 (rate^2 underflows), as IEEE
 
     if params.tau_c >= 100.0 * t_opt and full_sum != 0.0:
         model = NoiseModel.from_params(params)
@@ -361,7 +361,7 @@ def sweep_fig3(
     if params is None:
         params = PhysParams(gamma=1.0, gamma_prime=2.0 * math.pi * 50.0, delta_e=1.0, tau_c=1.0)
     model = NoiseModel.from_params(params)
-    full_sum = _seq_sum(config.f_array)
+    full_sum = _fsum(config.f_array)
     geo = full_sum * full_sum
     n = config.n
     rows = []
@@ -414,6 +414,7 @@ def sweep_fig5(
     Each n builds only the equidistant profile f (x0 = 0); GHZ goes through
     the spectral evaluator's array core and the rest through the closed
     forms' helpers, so every value is bit for bit the public function's.
+    Case b forms the spread sum (f_i - mean f)^2 once per n, as a chain does.
     """
     aliases = {
         "full-knowledge": "a", "fig5a": "a", "a": "a",
@@ -443,10 +444,9 @@ def sweep_fig5(
                 ghz_bits[1] = True
                 values = (_spectral_core(ghz_bits, ghz_amps, f, gt), _separable(gt2, f))
             else:
-                centred = f - f.mean()
-                spread = _spread(centred)
+                spread = _spread(f - f.mean())
                 values = (_dfs_value(gt2, f, n // 2), _dicke(gt2, n, n // 2, spread),
-                          _dicke(gt2, n, 1, spread), _separable(gt2, centred))
+                          _dicke(gt2, n, 1, spread), gt2 * spread)
             for name, value in zip(columns[1:], values):
                 if not math.isfinite(value):
                     raise NumericOverflow(f"the {name} value overflows float64 at n = {n}")

@@ -281,6 +281,8 @@ def _overflow(value, n):
     (("reproduce", "fig3", "--length", "1e200"), _overflow("qfi", 50)),
     (("reproduce", "fig4", "--length", "1e200"), _overflow("half-half", 100)),
     (("tcrit", "--n", "20", "--delta-e", "1", "--length", "1e200"), _overflow("t_crit", 20)),
+    # N gamma' delta_e > 0 whose square underflows to 0
+    (("tcrit", "--n", "3", "--delta-e", "1e-320"), _overflow("t_crit", 3)),
     (("placement-search", "--n", "4", "--length", "1e200"), _overflow("closed-form:dfs-max", 4)),
     (("placement-search", "--n", "4", "--length", "1e200", "--objective", "product-steady"),
      _overflow("placement-search", 4)),
@@ -502,6 +504,22 @@ def test_parity_json_structure():
                                                 rel=1e-12)
     spread = outcomes[0]["probability"] - outcomes[1]["probability"]
     assert payload["value"] == pytest.approx(spread, abs=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ("qfi", "--scenario", "noisy", "--state", "ghz", "--n", "3", "--tau-c", "1e-320",
+     "--delta-e", "1"),
+    ("noise-scan", "--n", "2", "--tau-c", "1e-320", "--delta-e", "1", "--t-max", "1",
+     "--points", "3"),
+], ids=["qfi", "noise-scan"])
+def test_a_tiny_correlation_time_runs(argv, capsys):
+    # t / tau_c overflows while (delta_e tau_c)^2 underflows: the white-noise limit, no nan
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    if argv[0] == "qfi":
+        assert json.loads(out)["value"] == 2.25  # d = 1 to double precision: (sum f)^2
+    else:
+        assert out.splitlines()[2:] == ["0.0,0.0,1.0", "0.5,1e-320,1.0", "1.0,2e-320,1.0"]
 
 
 def test_noise_scan_csv():

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -74,6 +75,22 @@ def test_correlation_integral_limits():
         correlation_integral(MODEL, -0.1)
     with pytest.raises(NegativeTime):
         correlation_integral(MODEL, float("nan"))
+
+
+@pytest.mark.parametrize("delta_e, tau_c, t", [
+    (1.0, 1e-320, 1.0), (1.0, 1e-320, 0.5), (3.0, 1e-310, 1e10), (1e160, 5e-324, 1.0),
+    (0.5, 1e-300, 1e9),
+])
+def test_a_tiny_correlation_time_gives_the_white_noise_limit(delta_e, tau_c, t):
+    # t / tau_c is inf and (delta_e tau_c)^2 underflows to 0: C is 2 delta_e^2 tau_c t,
+    # not 0 * inf = nan, and a coherence decays from 1
+    model = NoiseModel(1.0, delta_e, tau_c)
+    want = 2 * Fraction(delta_e) ** 2 * Fraction(tau_c) * Fraction(t)
+    got = correlation_integral(model, t)
+    assert abs(Fraction(got) - want) <= Fraction(1, 10**12) * want
+    for weight in (1, 3, 20):
+        assert 0.0 <= coherence_factor(model, t, weight) <= 1.0
+    assert correlation_integral(model, math.inf) == math.inf
 
 
 def test_correlation_integral_small_time_expansion():

@@ -380,6 +380,17 @@ def test_twirled_product_far_from_x0_shifts_lambda_by_its_first_eigenvector():
             assert rel_dev(got, qfi_product_steady(chain, params).value) < 1e-13, n
 
 
+@pytest.mark.parametrize("n", [2, 3, 7, 40, 300, 1000])
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+def test_steady_product_reads_the_chain_spread_bit_for_bit(n, offset):
+    # the steady product and Dicke read one sum_i (f_i - mean f)^2, formed once per chain
+    rng = np.random.default_rng(6900 + n)
+    chain = make_chain(offset + rng.uniform(-1, 1, size=n), x0=0.0)
+    params = random_params(rng)
+    gt = params.gamma * params.t
+    assert qfi_product_steady(chain, params).value.hex() == (gt * gt * chain.spread).hex()
+
+
 @pytest.mark.parametrize("n", [2, 3, 7, 40])
 def test_dicke_reads_the_chain_spread_bit_for_bit(n):
     rng = np.random.default_rng(6800 + n)

@@ -3,6 +3,7 @@
 import math
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +31,9 @@ from gradqfi import (
     make_chain,
     optimal_time_ghz,
     qfi_dfs_max,
+    qfi_dfs_subspace,
+    qfi_max_entangled,
+    qfi_max_separable,
     qfi_noisy_ghz,
     sweep_fig3,
     sweep_fig4,
@@ -160,8 +164,25 @@ def _python_critical_time(f, rate):
     return 0.0 if ratio <= 1.0 else math.sqrt(2.0 * math.log(ratio)) / rate
 
 
+def _exact_sum(terms):
+    return float(sum(map(Fraction, terms), Fraction(0)))  # the exact sum, rounded once
+
+
+def _exact_pair_sum(f, ell):
+    n = len(f)
+    return _exact_sum([f[i] - f[n - 1 - i] for i in range(ell)])
+
+
+def _exact_critical_time(f, rate):
+    full_sum, pair_sum = _exact_sum(f), _exact_pair_sum(f, len(f) // 2)
+    if full_sum == 0.0 or pair_sum == 0.0:
+        return None
+    ratio = (full_sum * full_sum) / (pair_sum * pair_sum)
+    return 0.0 if ratio <= 1.0 else math.sqrt(2.0 * math.log(ratio)) / rate
+
+
 @pytest.mark.parametrize("seed", range(24))
-def test_pair_sums_equal_python_sum_bit_for_bit(seed):
+def test_pair_sums_equal_the_exact_sum_rounded_once(seed):
     rng = np.random.default_rng(9100 + seed)
     n = int(rng.integers(1, 60))
     offset = (0.0, 1e2, 1e4, 1e8)[seed % 4]
@@ -170,8 +191,8 @@ def test_pair_sums_equal_python_sum_bit_for_bit(seed):
     params = PhysParams(gamma_prime=float(rng.uniform(0.5, 2.0)), delta_e=1.0)
     f = chain.f_values
     for k in range(n + 1):  # k = 0 and k = n give ell = 0
-        assert _dfs_pair_sum(chain.f_array, k).hex() == _python_pair_sum(f, min(k, n - k)).hex()
-    want = _python_critical_time(f, n * params.gamma_prime * params.delta_e)
+        assert _dfs_pair_sum(chain.f_array, k).hex() == _exact_pair_sum(f, min(k, n - k)).hex()
+    want = _exact_critical_time(f, n * params.gamma_prime * params.delta_e)
     if want is None:
         with pytest.raises(DegenerateGeometry):
             critical_time(chain, params)
@@ -181,9 +202,9 @@ def test_pair_sums_equal_python_sum_bit_for_bit(seed):
 
 @pytest.mark.parametrize("spec", [*range(16), ((-0.0,), 0.0), ((-0.0, -0.0, 0.5), 0.0),
                                   ((0.3, 0.3, 0.3), 0.3), ((0.0, 1e8, 2e8), -0.0)], ids=str)
-def test_profile_sums_equal_python_sum_bit_for_bit(spec):
-    # sweep_fig3, optimal_time_ghz and theta_for_saturation read sum f bit for bit as
-    # Python's sum() of the profile tuple gives it: near x0, at x0 (f = 0) and far from it
+def test_profile_sums_equal_the_exact_sum_rounded_once(spec):
+    # sweep_fig3, optimal_time_ghz and theta_for_saturation read sum f bit for bit as the
+    # exact sum of the profile, rounded once: near x0, at x0 (f = 0) and far from it
     rng = np.random.default_rng(9300 + (spec if isinstance(spec, int) else 99))
     if isinstance(spec, int):
         n, x0 = int(rng.integers(1, 40)), float(rng.uniform(-1, 1))
@@ -196,7 +217,7 @@ def test_profile_sums_equal_python_sum_bit_for_bit(spec):
     chain = make_chain(positions, x0=x0)
     params = PhysParams(*(float(x) for x in rng.uniform((0.5, -1, -1, 0.5, 0.5, 0.5, 0.5),
                                                         (2, 1, 1, 2, 2, 1.5, 2))))
-    n, s = chain.n, float(sum(chain.f_values))
+    n, s = chain.n, _exact_sum(chain.f_values)
     model, rate = NoiseModel.from_params(params), n * params.gamma_prime * params.delta_e
     times = [0.01 * (i / 4) for i in range(5)]
     want = [(t, coherence_factor(model, t, n) * (s * s) * (params.gamma * t) ** 2)
@@ -205,6 +226,48 @@ def test_profile_sums_equal_python_sum_bit_for_bit(spec):
     assert [[x.hex() for x in row] for row in got] == [[x.hex() for x in row] for row in want]
     qfi_opt = 2.0 * params.gamma * params.gamma * s * s / (math.e * rate * rate)
     assert optimal_time_ghz(chain, params)[1].hex() == qfi_opt.hex()
+    base = n * params.gamma * params.b0 * params.t + params.gamma * params.grad * params.t * s
+    assert theta_for_saturation(chain, params).hex() == (0.5 * math.pi - base).hex()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_chain_sums_are_the_exact_sum_rounded_once(seed):
+    # each closed form and time budget reads its sum over the chain as the exact sum of its
+    # float terms (f, |f|, f f, f_i - f_{N-1-i}), rounded once: n up to 1000, near x0 and
+    # far from it
+    rng = np.random.default_rng(9500 + seed)
+    n = int(rng.integers(900, 1001) if seed % 2 else rng.integers(1, 1001))
+    offset = (0.0, 1e2, 1e4, 1e8)[seed % 4]
+    chain = make_chain(offset + 10.0 ** rng.uniform(-3, 3) * rng.uniform(-1, 1, n),
+                       x0=float(rng.uniform(-1, 1)))
+    params = PhysParams(*(float(x) for x in rng.uniform((0.5, -1, -1, 0.5, 0.5, 0.5, 0.5),
+                                                        (2, 1, 1, 2, 2, 1.5, 2))))
+    f, gt, model = chain.f_values, params.gamma * params.t, NoiseModel.from_params(params)
+    gt2, rate = gt * gt, n * params.gamma_prime * params.delta_e
+    s, a, q = _exact_sum(f), _exact_sum(map(abs, f)), _exact_sum(x * x for x in f)
+    d = coherence_factor(model, params.t, n)
+    assert qfi_noisy_ghz(chain, params).value.hex() == (d * d * gt2 * s * s).hex()
+    assert qfi_max_entangled(chain, params)[0].value.hex() == (gt2 * a * a).hex()
+    assert qfi_max_separable(chain, params).value.hex() == (gt2 * q).hex()
+    pair, terms = [Fraction(0)], chain.f_array - chain.f_array[::-1]  # f_i - f_{N-1-i}
+    for term in terms[: n // 2].tolist():  # pair[l], the exact sum of the first l terms
+        pair.append(pair[-1] + Fraction(term))
+    for k in range(n + 1):
+        p = float(pair[min(k, n - k)])
+        assert qfi_dfs_subspace(chain, params, k)[0].value.hex() == (gt2 * p * p).hex(), k
+    want = _exact_critical_time(f, rate)
+    if want is None:
+        with pytest.raises(DegenerateGeometry):
+            critical_time(chain, params)
+    else:
+        assert critical_time(chain, params).hex() == want.hex()
+    qfi_opt = 2.0 * params.gamma * params.gamma * s * s / (math.e * rate * rate)
+    assert optimal_time_ghz(chain, params)[1].hex() == qfi_opt.hex()
+    times = [0.01 * (i / 4) for i in range(5)]
+    want = [(t, coherence_factor(model, t, n) * (s * s) * (params.gamma * t) ** 2)
+            for t in times]
+    got = sweep_fig3(chain, params, points=5, t_max=0.01).rows
+    assert [[x.hex() for x in row] for row in got] == [[x.hex() for x in row] for row in want]
     base = n * params.gamma * params.b0 * params.t + params.gamma * params.grad * params.t * s
     assert theta_for_saturation(chain, params).hex() == (0.5 * math.pi - base).hex()
 
@@ -251,6 +314,14 @@ def test_optimal_time_ghz_analytic_pair():
     assert params.tau_c > 100.0 * t_opt
     with pytest.raises(NoNoise):
         optimal_time_ghz(chain, PhysParams(delta_e=0.0))
+
+
+def test_an_underflowing_rate_square_gives_what_floats_give():
+    # N gamma' delta_e = 3e-320 > 0, but its square underflows to 0: x / +0.0 is inf for
+    # x > 0 and nan for x = 0, as IEEE division gives, not a ZeroDivisionError
+    params = PhysParams(delta_e=1e-320)
+    assert optimal_time_ghz(_equi_chain(3)[0], params) == (math.inf, math.inf)
+    assert math.isnan(optimal_time_ghz(make_chain([-1.0, 0.0, 1.0]), params)[1])
 
 
 def test_optimal_time_matches_grid_maximum_of_the_response():

@@ -101,6 +101,17 @@ def invocations() -> list[tuple[str, ...]]:
     # psi-m off the sign split: the branch gap is not sum |f|
     runs.append(("qfi", "--scenario", "noisy", "--state", "psi-m", "--m", "3", "--n", "8",
                  "--t", "0.8", "--length", "2", "--delta-e", "0"))
+    # a rate N gamma' delta_e whose square underflows, a tau_c whose t / tau_c overflows
+    # while (delta_e tau_c)^2 underflows, and the odf pair sum that a default fig5b
+    # rounded furthest from its exact value when it added in index order (n = 663)
+    runs += [
+        ("tcrit", "--n", "3", "--delta-e", "1e-320"),
+        ("qfi", "--scenario", "noisy", "--state", "ghz", "--n", "3", "--tau-c", "1e-320",
+         "--delta-e", "1"),
+        ("noise-scan", "--n", "2", "--tau-c", "1e-320", "--delta-e", "1", "--t-max", "1",
+         "--points", "3"),
+        ("qfi", "--state", "odf", "--k", "331", "--n", "663", "--length", "1"),
+    ]
     # a theta that is not finite, and an evolution phase that is inf or inf - inf
     runs += [
         ("qfi", "--state", "ghz-theta", "--theta", "inf"),
