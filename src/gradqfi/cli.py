@@ -73,6 +73,7 @@ from .qfi import (
 )
 from .scenarios import (
     OBJECTIVES,
+    OPTIMAL_PLACEMENT,
     PLACEMENT_KINDS,
     PlacementSpec,
     TableOne,
@@ -525,11 +526,10 @@ def cmd_tcrit(cfg: RunConfig) -> int:
 
 def cmd_placement_search(cfg: RunConfig) -> int:
     config, report = brute_force_placement_search(
-        cfg.n, cfg.length, cfg.objective, cfg.grid_points,
-        x_start=0.0, params=cfg.params(),
+        cfg.n, cfg.length, cfg.objective, cfg.grid_points, params=cfg.params(),
     )
     _finite(cfg.n, (report.path,), ((report.value,),))
-    kind = "all-at-end" if cfg.objective.endswith("known-b0") else "half-half"
+    kind = OPTIMAL_PLACEMENT[cfg.objective]
     row = (
         cfg.objective, kind, report.value, report.crb_variance,
         ";".join(repr(x) for x in config.positions),

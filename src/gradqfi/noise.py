@@ -90,7 +90,8 @@ def correlation_integral(model: NoiseModel, t: float) -> float:
 
     C(t) = 2 (delta_e tau_c)^2 (e^{-t/tau_c} + t/tau_c - 1).
 
-    Accepts t = inf (C diverges linearly, so the limit is inf).
+    Accepts t = inf (C diverges linearly, so the limit is inf).  Where t / tau_c
+    overflows, C is its white-noise limit 2 delta_e^2 tau_c t.
     """
     if t < 0 or math.isnan(t):
         raise NegativeTime(f"t must be >= 0, got {t!r}")
@@ -98,7 +99,7 @@ def correlation_integral(model: NoiseModel, t: float) -> float:
         return 0.0
     s = t / model.tau_c
     scale = model.delta_e * model.tau_c
-    if s == math.inf and scale * scale == 0.0:  # not 0 * inf: the limit 2 delta_e^2 tau_c t
+    if s == math.inf:  # not scale^2 * inf: the limit 2 delta_e^2 tau_c t
         return s if t == s else 2.0 * scale * (model.delta_e * t)
     return 2.0 * scale * scale * (math.expm1(-s) + s)
 

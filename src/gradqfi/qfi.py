@@ -7,12 +7,13 @@ the Cramer-Rao variance bound on an unbiased single-shot estimate.
 One spectral evaluator plus closed forms:
 
 * qfi_general: exact for any pure or mixed state, with no cap on the qubit
-  count: 4 * variance of the generator, or the SLD formula with
-  d rho = -i [H_G, rho] on a mixed state's sector columns (O(s + r^3)).
+  count: 4 Var(H_G) on a pure state's rows (_pure_qfi), or the SLD formula with
+  d rho = -i [H_G, rho] on a mixed state's sector columns (_sector_qfi, O(s + r^3)).
 * qfi_pure: its pure case, which refuses mixtures.
 * closed forms for the standard probe families (GHZ, product, optimal
   decoherence-free states, Dicke, dephased GHZ, steady-state product),
-  each O(n) in the chain size.
+  each O(n) in the chain size; the figure sweeps and the summary table
+  call their helpers (_ghz, _separable, _dfs_value, _dicke) on a bare profile.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import noise as _noise
-from .core import (ChainConfig, PhysParams, SparseState, SpectralState, State, _excitations,
-                   _fsum, make_named_state)
+from .core import (ChainConfig, PhysParams, SparseState, SpectralState, State, _fsum,
+                   make_named_state)
 from .errors import LengthMismatch, OutOfRange
 
 # Relative cutoff: eigenvalue pairs of a mixed state's coefficient matrix with
@@ -66,35 +67,33 @@ def _fisher_value(value: float) -> float:
 
 
 def _spectral_qfi(state: State, config: ChainConfig, params: PhysParams) -> float:
-    """QFI of a pure state (_spectral_core) or a mixed one (_sector_qfi) for H_G."""
+    """QFI of a pure state (_pure_qfi) or a mixed one (_sector_qfi) for H_G."""
     if state.n_qubits != config.n:
         raise LengthMismatch(f"state has {state.n_qubits} qubits but chain has {config.n}")
     gt = params.gamma * params.t
     with np.errstate(over="ignore"):  # inf on overflow, as float arithmetic
         if isinstance(state, SparseState):
-            return _spectral_core(state.bits, state.amps, config.f_array, gt, state.excitations)
+            return _pure_qfi(state, config.f_array, gt)
         return _sector_qfi(state, config.f_array, gt)
 
 
-def _spectral_core(excited: np.ndarray, amps: np.ndarray, f: np.ndarray, gt: float,
-                   k: np.ndarray | None = None) -> float:
-    """(gamma t)^2 4 Var(H_G) of a pure state from its (s, n) support bits, its amplitudes,
-    the profile f and gamma t: 4 || H|a> - <a|H|a> |a> ||^2, an elementwise residual, so a
+def _pure_qfi(state: SparseState, f: np.ndarray, gt: float) -> float:
+    """(gamma t)^2 4 Var(H_G) of a pure state for the profile f and gamma t:
+    4 || H|a> - <a|H|a> |a> ||^2 over its support rows, an elementwise residual, so a
     state carrying little information does not cancel.
 
     H_G = (1/2) sum_i f_i - sum_i f_i n_i with n_i the excitation of qubit
     i, and the QFI ignores a constant and the sign of the generator, so
-    lambda_I = sum_{i excited} (f_i - c) + c (k_I - k_0), with c = mean(f)
-    and k_0 the excitation count of the first row with a nonzero amplitude
-    (k, each row's count, is counted from the bits unless given).
-    On a chain far from x0 the large c-term is then exactly zero within one
-    excitation sector instead of cancelling in floating point.
+    lambda_I = sum_{i excited} (f_i - c) + c (k_I - k_0), with c = mean(f),
+    k_I row I's excitation count and k_0 that of the first row with a nonzero
+    amplitude.  On a chain far from x0 the large c-term is then exactly zero
+    within one excitation sector instead of cancelling in floating point.
     """
-    v = amps[None, :]
+    v = state.amps[None, :]
     c = float(f.mean())
-    k = _excitations(excited) if k is None else k
+    k = state.excitations
     # einsum casts the boolean matrix in buffered chunks, never all at once
-    lam = np.einsum("ij,j->i", excited, f - c) + c * (k - k[np.argmax(v[0] != 0)])
+    lam = np.einsum("ij,j->i", state.bits, f - c) + c * (k - k[np.argmax(v[0] != 0)])
     hv = v * lam
     hv -= (hv @ v.conj().T) @ v  # now the part of H_G|a> outside the state
     resid = hv.view(np.float64)
@@ -195,6 +194,12 @@ def _separable(gt2: float, f: np.ndarray) -> float:
     """(gamma t)^2 sum_i f_i^2 from gt2 = (gamma t)^2 and a profile f, the sum correctly
     rounded (_fsum); inf on overflow under the caller's errstate."""
     return gt2 * _fsum(f * f)
+
+
+def _ghz(gt2: float, f: np.ndarray) -> float:
+    """(gamma t)^2 (sum_i f_i)^2 by _fsum: qfi_noisy_ghz's value at delta_e = 0 (d = 1.0)."""
+    s = _fsum(f)
+    return gt2 * s * s
 
 
 def _seq_sum(x: np.ndarray) -> float:

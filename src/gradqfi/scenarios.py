@@ -20,9 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import (
-    LINEAR, ChainConfig, FieldProfile, PhysParams, _fsum, _spread, make_chain, make_named_state,
-)
+from .core import ChainConfig, PhysParams, _frozen, _fsum, _spread, make_chain
 from .errors import (
     DegenerateGeometry,
     NoNoise,
@@ -33,18 +31,16 @@ from .errors import (
 )
 from .noise import NoiseModel, coherence_factor
 from .qfi import (
-    FisherReport, _dfs_pair_sum, _gt2, _dfs_report, _dfs_value, _dicke, _fisher_value, _separable,
-    _spectral_core, qfi_max_entangled, qfi_max_separable, qfi_product_steady, qfi_pure,
+    FisherReport, _dfs_pair_sum, _gt2, _dfs_report, _dfs_value, _dicke, _fisher_value, _ghz,
+    _separable, qfi_max_entangled, qfi_max_separable, qfi_product_steady,
 )
 
 PLACEMENT_KINDS = ("equidistant", "all-at-end", "half-half", "tanh", "tan", "explicit")
 
-OBJECTIVES = (
-    "entangled-known-b0",
-    "separable-known-b0",
-    "dfs-max",
-    "product-steady",
-)
+# each placement-search objective and the placement that is its analytic optimum
+OPTIMAL_PLACEMENT = {"entangled-known-b0": "all-at-end", "separable-known-b0": "all-at-end",
+                     "dfs-max": "half-half", "product-steady": "half-half"}
+OBJECTIVES = tuple(OPTIMAL_PLACEMENT)
 
 
 def _check_length(length: float) -> None:
@@ -85,11 +81,7 @@ class PlacementSpec:
             raise OutOfRange(f"{self.kind} placement does not take explicit positions")
 
 
-def generate_placement(
-    spec: PlacementSpec,
-    x0: float | None = None,
-    profile: FieldProfile = LINEAR,
-) -> ChainConfig:
+def generate_placement(spec: PlacementSpec, x0: float | None = None) -> ChainConfig:
     """Realize a placement as a ChainConfig (reference x0 defaults to x_start).
 
     Shapes:
@@ -108,7 +100,7 @@ def generate_placement(
     ref = a if x0 is None else float(x0)
 
     if spec.kind == "explicit":
-        return make_chain(spec.positions, ref, profile)
+        return make_chain(spec.positions, ref)
     if spec.kind == "equidistant":
         if n < 2:
             raise OutOfRange(f"equidistant placement needs n >= 2, got {n}")
@@ -134,7 +126,7 @@ def generate_placement(
                     f"[{a!r}, {a + length!r}]; the index-normalized variant "
                     "(normalized_index=True) stays inside for every length"
                 )
-    return make_chain(pos, ref, profile)
+    return make_chain(pos, ref)
 
 
 def _equidistant(a: float, length: float, n: int) -> np.ndarray:
@@ -231,13 +223,13 @@ def optimal_time_ghz(config: ChainConfig, params: PhysParams) -> tuple[float, fl
 # ----------------------------------------------------------------------
 
 
-def _geometry_value(objective: str, xs: Sequence[float], x0: float) -> float:
+def _geometry_value(objective: str, xs: Sequence[float]) -> float:
     n = len(xs)
     if objective == "entangled-known-b0":
-        s = sum(abs(x - x0) for x in xs)
+        s = sum(abs(x) for x in xs)
         return s * s
     if objective == "separable-known-b0":
-        return sum((x - x0) ** 2 for x in xs)
+        return sum(x ** 2 for x in xs)
     if objective == "dfs-max":
         s = sum(xs[i] - xs[n - 1 - i] for i in range(n // 2))
         return s * s
@@ -252,17 +244,16 @@ def brute_force_placement_search(
     objective: str,
     grid_points: int = 5,
     *,
-    x_start: float = 0.0,
     params: PhysParams | None = None,
 ) -> tuple[ChainConfig, FisherReport]:
     """Exhaustive placement search on a uniform grid, checked against theory.
 
     Evaluates the objective over every multiset of n grid positions
-    {x_start + j L/(grid_points-1)} and verifies that the analytic
-    optimum (all-at-end for the known-offset objectives, half-half for
-    the decoherence-free and steady-state ones) attains the best value
-    found; returns that analytic placement with its report.  A grid
-    point beating the analytic optimum raises SelfCheckFailed.
+    {j L/(grid_points-1)} (reference point 0) and verifies that the analytic
+    optimum OPTIMAL_PLACEMENT[objective] (all-at-end for the known-offset
+    objectives, half-half for the decoherence-free and steady-state ones)
+    attains the best value found; returns that analytic placement with its
+    report.  A grid point beating the analytic optimum raises SelfCheckFailed.
     """
     if objective not in OBJECTIVES:
         raise OutOfRange(f"objective must be one of {OBJECTIVES}, got {objective!r}")
@@ -274,19 +265,17 @@ def brute_force_placement_search(
     if params is None:
         params = PhysParams()
 
-    grid = [x_start + length * (j / (grid_points - 1)) for j in range(grid_points)]
+    grid = [length * (j / (grid_points - 1)) for j in range(grid_points)]
     best = -math.inf
     best_xs: tuple[float, ...] = ()
     for xs in combinations_with_replacement(grid, n):
-        value = _geometry_value(objective, xs, x_start)
+        value = _geometry_value(objective, xs)
         if value > best:
             best = value
             best_xs = xs
 
-    analytic_kind = "all-at-end" if objective.endswith("known-b0") else "half-half"
-    config = generate_placement(
-        PlacementSpec(analytic_kind, n, x_start, length), x0=x_start
-    )
+    analytic_kind = OPTIMAL_PLACEMENT[objective]
+    config = generate_placement(PlacementSpec(analytic_kind, n, 0.0, length))
     if objective == "entangled-known-b0":
         report = qfi_max_entangled(config, params)[0]
     elif objective == "separable-known-b0":
@@ -315,9 +304,9 @@ def brute_force_placement_search(
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Figure data: axis name, column names (axis first), numeric rows."""
+    """Figure data: column names (the axis first) and numeric rows sorted by the axis,
+    checked here; the library's sweeps are built unchecked (core._frozen)."""
 
-    axis: str
     columns: tuple[str, ...]
     rows: tuple[tuple[float, ...], ...]
 
@@ -368,7 +357,7 @@ def sweep_fig3(
     for t in (t_max * (i / (points - 1)) for i in range(points)):
         d = coherence_factor(model, t, n)
         rows.append((t, d * geo if factor_out_gamma_t else d * geo * (params.gamma * t) ** 2))
-    return SweepResult("time", ("t", "qfi"), tuple(rows))
+    return _frozen(SweepResult, ("t", "qfi"), tuple(rows))
 
 
 def sweep_fig4(n: int = 100, length: float = 1.0, gamma_t: float = 1.0) -> SweepResult:
@@ -395,7 +384,7 @@ def sweep_fig4(n: int = 100, length: float = 1.0, gamma_t: float = 1.0) -> Sweep
             (float(k),)
             + tuple(_dfs_report(configs[kind], params, k).value for kind in kinds)
         )
-    return SweepResult("excitation_k", ("k",) + kinds, tuple(rows))
+    return _frozen(SweepResult, ("k",) + kinds, tuple(rows))
 
 
 def sweep_fig5(
@@ -411,9 +400,9 @@ def sweep_fig5(
     decoherence-free families: balanced two-branch (~N^2), half-filled
     Dicke (~N), W (constant, -> (gamma t L)^2/3), steady product (~N).
 
-    Each n builds only the equidistant profile f (x0 = 0); GHZ goes through
-    the spectral evaluator's array core and the rest through the closed
-    forms' helpers, so every value is bit for bit the public function's.
+    Each n builds only the equidistant profile f (x0 = 0) and no state: every
+    column is a closed form's value helper, so each value is bit for bit the
+    public function's (GHZ: qfi_noisy_ghz at delta_e = 0, where d = 1.0).
     Case b forms the spread sum (f_i - mean f)^2 once per n, as a chain does.
     """
     aliases = {
@@ -430,8 +419,7 @@ def sweep_fig5(
         raise OutOfRange(f"n_range values must be >= 2, got {ns[0]}")
     params = PhysParams(gamma=gamma_t, t=1.0)
     _check_length(length)
-    gt, gt2 = params.gamma * params.t, _gt2(params)
-    ghz_amps = np.full(2, 1.0 / math.sqrt(2.0), dtype=np.complex128)
+    gt2 = _gt2(params)
     columns = ("n", "ghz", "product") if tag == "a" else (
         "n", "odf-half", "dicke-half", "w", "steady-product"
     )
@@ -440,9 +428,7 @@ def sweep_fig5(
         for n in ns:
             f = _equidistant(0.0, length, n)
             if tag == "a":
-                ghz_bits = np.zeros((2, n), dtype=bool)  # |0..0> and |1..1>
-                ghz_bits[1] = True
-                values = (_spectral_core(ghz_bits, ghz_amps, f, gt), _separable(gt2, f))
+                values = (_ghz(gt2, f), _separable(gt2, f))
             else:
                 spread = _spread(f - f.mean())
                 values = (_dfs_value(gt2, f, n // 2), _dicke(gt2, n, n // 2, spread),
@@ -451,7 +437,7 @@ def sweep_fig5(
                 if not math.isfinite(value):
                     raise NumericOverflow(f"the {name} value overflows float64 at n = {n}")
             rows.append((float(n), *map(_fisher_value, values)))
-    return SweepResult("qubit_count", columns, tuple(rows))
+    return _frozen(SweepResult, columns, tuple(rows))
 
 
 def fit_loglog_slope(ns: Sequence[float], values: Sequence[float]) -> float:
@@ -470,9 +456,6 @@ TABLE1_COLUMNS = ("state", "general", "optimal", "equidistant")
 class TableOne:
     """The 4x3 summary grid of QFI values, self-checked against closed forms."""
 
-    n: int
-    length: float
-    gamma_t: float
     rows: tuple[tuple[str, float, float, float], ...]
 
     @property
@@ -490,9 +473,11 @@ def table1(n: int = 4, length: float = 3.0, gamma_t: float = 1.0) -> TableOne:
     """QFI of the four probe families x (general, optimal, equidistant).
 
     The general column evaluates the position-sum formulas on the
-    equidistant chain; the optimal column evaluates the library closed
-    forms on the analytically optimal placement; the equidistant column
-    evaluates them on the equidistant chain.  Every cell is
+    equidistant chain, each sum over the positions correctly rounded
+    (core._fsum); the optimal column evaluates the library closed forms
+    on the analytically optimal placement; the equidistant column
+    evaluates them on the equidistant chain.  No state is built: the GHZ
+    cells are the closed form (gamma t)^2 (sum f)^2.  Every cell is
     cross-checked against its symbolic expression to relative 1e-12
     (mismatch raises SelfCheckFailed).  Needs even n: the balanced
     two-branch symbolic expression assumes the even pair sum.
@@ -507,21 +492,23 @@ def table1(n: int = 4, length: float = 3.0, gamma_t: float = 1.0) -> TableOne:
     equi = generate_placement(PlacementSpec("equidistant", n, 0.0, length))
     at_end = generate_placement(PlacementSpec("all-at-end", n, 0.0, length))
     half = generate_placement(PlacementSpec("half-half", n, 0.0, length))
-    xs = equi.positions
+    xs = np.array(equi.positions)
 
     # general-column formulas evaluated directly on the equidistant positions
-    ghz_general = gt2 * sum(xs) ** 2
-    product_general = gt2 * sum(x * x for x in xs)
-    odf_general = gt2 * sum(xs[i] - xs[n - 1 - i] for i in range(n // 2)) ** 2
-    steady_general = gt2 * (sum(x * x for x in xs) - sum(xs) ** 2 / n)
+    with np.errstate(over="ignore"):  # inf silently, as float arithmetic
+        sum_x, sum_x2 = _fsum(xs), _fsum(xs * xs)
+    ghz_general = gt2 * sum_x ** 2
+    product_general = gt2 * sum_x2
+    odf_general = gt2 * _dfs_pair_sum(xs, n // 2) ** 2
+    steady_general = gt2 * (sum_x2 - sum_x ** 2 / n)
 
     # symbolic optimal / equidistant cells
     l2 = length * length
     cells = {
         "ghz": (
             ghz_general,
-            qfi_pure(make_named_state("ghz", n), at_end, params).value,
-            qfi_pure(make_named_state("ghz", n), equi, params).value,
+            _ghz(gt2, at_end.f_array),
+            _ghz(gt2, equi.f_array),
             gt2 * l2 * n * n,
             gt2 * l2 * n * n / 4.0,
         ),
@@ -563,4 +550,4 @@ def table1(n: int = 4, length: float = 3.0, gamma_t: float = 1.0) -> TableOne:
                     f"symbolic expression {b!r} beyond relative 1e-12"
                 )
         rows.append((label, general, optimal, equidistant))
-    return TableOne(n, length, gamma_t, tuple(rows))
+    return TableOne(tuple(rows))

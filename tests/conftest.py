@@ -240,8 +240,9 @@ def reference_named_state(name, n, k=None, m=None, theta=0.0):
 def reference_sweep_fig5(ns, length, case, gamma_t):
     """fig5 rows (or the exception) by the public per-n path, one chain each.
 
-    For each n: generate_placement of the equidistant chain, then qfi_pure
-    of the GHZ state and qfi_max_separable (case "a"), or qfi_dfs_max,
+    For each n: generate_placement of the equidistant chain, then qfi_noisy_ghz
+    without noise (delta_e = 0, so d = 1.0: the GHZ closed form) and
+    qfi_max_separable (case "a"), or qfi_dfs_max,
     qfi_dicke at k = n/2 and k = 1 and qfi_product_steady (case "b"),
     validated in the same order as the sweep: a value that is not finite
     (a NaN one, which FisherReport itself refuses, included) raises
@@ -268,7 +269,7 @@ def reference_sweep_fig5(ns, length, case, gamma_t):
         if case == "a":
             names = ("ghz", "product")
             values = (
-                value(lambda: gradqfi.qfi_pure(gradqfi.make_named_state("ghz", n), config, params)),
+                value(lambda: gradqfi.qfi_noisy_ghz(config, params)),
                 value(lambda: gradqfi.qfi_max_separable(config, params)),
             )
         else:

@@ -93,6 +93,20 @@ def test_a_tiny_correlation_time_gives_the_white_noise_limit(delta_e, tau_c, t):
     assert correlation_integral(model, math.inf) == math.inf
 
 
+@pytest.mark.parametrize("delta_e, tau_c, t", [
+    (1.0, 1e-10, 1e300), (1e3, 1e-9, 1e300), (0.5, 1e-100, 1e220),
+])
+def test_an_overflowing_t_over_tau_c_gives_the_white_noise_limit(delta_e, tau_c, t):
+    # t / tau_c is inf while (delta_e tau_c)^2 is not 0: C is 2 delta_e^2 tau_c t,
+    # a finite float, not (delta_e tau_c)^2 * inf
+    model = NoiseModel(1.0, delta_e, tau_c)
+    want = 2 * Fraction(delta_e) ** 2 * Fraction(tau_c) * Fraction(t)
+    got = correlation_integral(model, t)
+    assert math.isfinite(got)
+    assert abs(Fraction(got) - want) <= Fraction(1, 10**12) * want
+    assert correlation_integral(model, math.inf) == math.inf
+
+
 def test_correlation_integral_small_time_expansion():
     # C(t) = delta_e^2 t^2 (1 - t/(3 tau_c) + ...) for t << tau_c
     t = 1e-4 * MODEL.tau_c

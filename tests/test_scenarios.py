@@ -403,10 +403,10 @@ def test_search_limits_and_validation():
 
 def test_sweep_result_validation():
     with pytest.raises(OutOfRange):
-        SweepResult("x", ("x", "y"), ((0.0,),))
+        SweepResult(("x", "y"), ((0.0,),))
     with pytest.raises(OutOfRange):
-        SweepResult("x", ("x", "y"), ((1.0, 0.0), (0.0, 0.0)))
-    sweep = SweepResult("x", ("x", "y"), ((0.0, 5.0), (1.0, 7.0)))
+        SweepResult(("x", "y"), ((1.0, 0.0), (0.0, 0.0)))
+    sweep = SweepResult(("x", "y"), ((0.0, 5.0), (1.0, 7.0)))
     assert sweep.column("y") == (5.0, 7.0)
 
 
@@ -492,6 +492,23 @@ def test_fig5_sweep_rows_equal_the_per_chain_path_bit_for_bit(case):
     assert _hex_rows(sweep_fig5(ns, 1.0, case).rows) == _hex_rows(want)
 
 
+def _fraction_sum(values):
+    """The exact sum of floats as a Fraction, over their common power-of-two denominator."""
+    ratios = [x.as_integer_ratio() for x in values]
+    den = max(d for _, d in ratios)
+    return Fraction(sum(num * (den // d) for num, d in ratios), den)
+
+
+def test_fig5a_ghz_column_is_the_correctly_rounded_closed_form():
+    # (sum f)^2 from one correctly rounded sum: within 1e-16 of the exact value for the
+    # float profile at every n of the default sweep
+    sweep = sweep_fig5(case="a")
+    for n, ghz in zip(sweep.column("n"), sweep.column("ghz")):
+        f = generate_placement(PlacementSpec("equidistant", int(n), 0.0, 1.0)).f_values
+        exact = _fraction_sum(f) ** 2
+        assert abs(Fraction(ghz) - exact) <= Fraction(1, 10**16) * exact, n
+
+
 @pytest.mark.parametrize("case", ["a", "b"])
 @pytest.mark.parametrize("ns, length, gamma_t", [
     (range(2, 5), 0.0, 1.0),
@@ -569,6 +586,31 @@ def test_table1_general_column_equals_equidistant():
     for label in ("ghz", "product", "odf-half", "steady-product"):
         general, _, equidistant = table.row(label)
         assert general == pytest.approx(equidistant, rel=1e-12)
+
+
+def test_table1_ghz_cells_are_the_exact_closed_form():
+    # (n L)^2 and (n L / 2)^2 at n = 4, L = 3, as the paper's Table 1 has them
+    general, optimal, equidistant = table1().row("ghz")
+    assert (general, optimal, equidistant) == (36.0, 144.0, 36.0)
+
+
+@pytest.mark.parametrize("n, length, gamma_t", [(4, 13.1, 1.0), (6, 13.1, 0.5), (14, 0.3, 1.0)])
+def test_table1_general_column_sums_are_correctly_rounded(n, length, gamma_t):
+    # each sum over the positions is the exact sum rounded once (sum x = 26.2 at
+    # n = 4, L = 13.1, which adding in index order rounds to 26.199999999999996)
+    table = table1(n, length, gamma_t)
+    xs = generate_placement(PlacementSpec("equidistant", n, 0.0, length)).positions
+    sum_x, sum_x2 = _exact_sum(xs), _exact_sum([x * x for x in xs])
+    pair_sum = _exact_pair_sum(xs, n // 2)
+    gt2 = gamma_t * gamma_t
+    want = {
+        "ghz": gt2 * sum_x ** 2,
+        "product": gt2 * sum_x2,
+        "odf-half": gt2 * pair_sum ** 2,
+        "steady-product": gt2 * (sum_x2 - sum_x ** 2 / n),
+    }
+    for label, value in want.items():
+        assert table.row(label)[0] == value, label
 
 
 def test_table1_self_check_passes_across_sizes():

@@ -112,6 +112,13 @@ def invocations() -> list[tuple[str, ...]]:
          "--points", "3"),
         ("qfi", "--state", "odf", "--k", "331", "--n", "663", "--length", "1"),
     ]
+    # a table whose position sums sum() did not round correctly, and a t / tau_c that
+    # overflows while (delta_e tau_c)^2 does not underflow
+    runs += [
+        ("reproduce", "table1", "--n", "6", "--length", "13.1"),
+        ("noise-scan", "--n", "2", "--tau-c", "1e-10", "--delta-e", "1", "--t-max", "1e300",
+         "--points", "3"),
+    ]
     # a theta that is not finite, and an evolution phase that is inf or inf - inf
     runs += [
         ("qfi", "--state", "ghz-theta", "--theta", "inf"),
