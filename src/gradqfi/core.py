@@ -18,8 +18,11 @@ row's entries in its excitation sector's orthonormal columns, the matrix m of
 rho between them and, from first use, m's one eigh for its positivity check,
 eigen-views and QFI.  Only SparseState.from_terms and .terms spell rows as
 '0'/'1' strings.  The gradient reaches a state only through the phase each row
-picks up, summed by _excited_sums (with lambda_I of H_G only for the readouts)
-by prefix doubling on a full support, else in one pass over each qubit's row.
+picks up, summed by _excited_sums (with lambda_I of H_G only for the readouts):
+the first floor(log2 s) qubits of s rows from a table of every prefix's sums,
+built by doubling and read through the row index the state keeps, then one
+pass over each later qubit's row (all n passes below 2048 rows, none on a full
+support).
 
 Public constructors check their input; the library builds its own states
 and chains through _frozen, unchecked.  Everything here is immutable and
@@ -259,10 +262,15 @@ def _excitations(bits: np.ndarray) -> np.ndarray:
 
 def _cmul(a: np.ndarray, re, im) -> np.ndarray:
     """a * complex(re, im) elementwise, rounded as CPython's complex product is (numpy's
-    complex multiply may round the last digit differently)."""
+    complex multiply may round the last digit differently): each product is written into
+    out's parts or one temporary, and the parts are subtracted and added in place."""
     out = np.empty_like(a)
-    out.real = a.real * re - a.imag * im
-    out.imag = a.real * im + a.imag * re
+    real, imag, tmp = out.real, out.imag, a.imag * im
+    np.multiply(a.real, re, out=real)
+    real -= tmp
+    np.multiply(a.imag, re, out=tmp)
+    np.multiply(a.real, im, out=imag)
+    imag += tmp
     return out
 
 
@@ -275,7 +283,9 @@ class SparseState:
     bitstring order; amps holds each row's complex128 amplitude, a unit
     vector within 1e-12.  The constructor checks this and may keep, read-only,
     the arrays it is given; the library's own states are built unchecked.
-    excitations, each row's count as a read-only int32 vector, is kept on first use.
+    excitations, each row's count as a read-only int32 vector, and prefix_index, the row
+    index _excited_sums gathers its prefix table by (None where it reads none), are kept on
+    first use.
     """
 
     n_qubits: int
@@ -341,6 +351,7 @@ class SparseState:
 
     weights = (1.0,)  # the state as a rank-1 case of SpectralState's views
     excitations = cached_property(lambda self: _excitations(self.bits))  # each row's, once
+    prefix_index = cached_property(lambda self: _prefix_index(self.bits))  # shared, once
 
     @property
     def vectors(self) -> np.ndarray:
@@ -365,7 +376,8 @@ class SpectralState:
     Otherwise weights, vectors (the (rank, rows) eigenvector matrix) and
     eigenpairs are lazy views, for the public API only, of _spectrum above
     _WEIGHT_DROP: m's one checked eigh, which the QFI reads too.  Evolutions and
-    readouts read bits, sector, basis and m.  excitations is as on SparseState.
+    readouts read bits, sector, basis and m.  excitations and prefix_index are as on
+    SparseState.
     """
 
     n_qubits: int
@@ -417,6 +429,7 @@ class SpectralState:
         self.__dict__.update(eigenpairs=pairs, weights=weights, vectors=vectors, excitations=k)
 
     excitations = cached_property(lambda self: _excitations(self.bits))  # each row's, once
+    prefix_index = cached_property(lambda self: _prefix_index(self.bits))  # shared, once
 
     @cached_property
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -480,25 +493,78 @@ def _turns(bits: np.ndarray, config: ChainConfig, params: PhysParams) -> list[fl
     return [math.remainder(phase, 4.0 * math.pi) for phase in phases]
 
 
-def _excited_sums(bits: np.ndarray, values: np.ndarray) -> np.ndarray:
+# A support of fewer rows that is not full is summed on the per-qubit loop alone: there the
+# row index and the table's small adds cost more than the passes they save.  Measured on
+# evolve + parity_distribution of fresh Dicke states (one process, alternated, median of
+# 150): the table was 4-18% slower on every support of 14 to 2002 rows (15% at 190 rows,
+# Dicke n = 20, k = 2) and 6-8% faster at 3432 rows (Dicke n = 14, k = 7).
+_TABLE_ROWS = 2048
+
+
+def _prefix_width(s: int, n: int) -> int:
+    """h, the leading qubits _excited_sums reads from its table on s rows of n qubits:
+    n on a full support (2^n rows), floor(log2 s) from _TABLE_ROWS rows on, else 0."""
+    if s == 1 << n:
+        return n
+    return s.bit_length() - 1 if s >= _TABLE_ROWS else 0
+
+
+def _row_index(bits: np.ndarray, h: int) -> np.ndarray:
+    """Each row's first h bits as a read-only intp, qubit 1 the most significant (h <= 32):
+    the rows' prefixes, zero-padded on the left to 32 columns, packed into big-endian u4s."""
+    padded = np.zeros((len(bits), 32), dtype=bool)
+    padded[:, 32 - h :] = bits[:, :h]
+    index = np.packbits(padded).view(">u4").astype(np.intp)
+    index.setflags(write=False)
+    return index
+
+
+def _prefix_index(bits: np.ndarray) -> np.ndarray | None:
+    """The row index _excited_sums gathers its table by (_row_index of _prefix_width bits),
+    or None where it reads none: a full support is in index order, a small one has no table."""
+    s, n = bits.shape
+    h = _prefix_width(s, n)
+    return _row_index(bits, h) if 0 < h < n else None
+
+
+def _prefix_table(values: np.ndarray) -> np.ndarray:
+    """(m, 2^h) sums of (m, h) per-qubit values over the excited qubits of every h-bit prefix,
+    in index order, added in chain order from zero.  Qubit i doubles the prefixes so far in
+    place: those at every 2^(h-i)-th column, each + v_i, go half a stride after it."""
+    m, h = values.shape
+    sums = np.zeros((m, 1 << h), dtype=values.dtype)
+    for i, v in enumerate(values.T[:, :, None]):
+        step = 1 << (h - i)
+        np.add(sums[:, ::step], v, out=sums[:, step >> 1 :: step])
+    return sums
+
+
+def _excited_sums(bits: np.ndarray, values: np.ndarray,
+                  index: np.ndarray | None = None) -> np.ndarray:
     """(m, s) sums of (m, n) per-qubit values over each ascending row's excited qubits,
-    added in chain order from +0.0.  The 2^n rows of a full support count in binary, so
-    a prefix doubles per qubit, P <- interleave(P, P + v_i): 2s adds, not n s.  Otherwise
-    each qubit's row of one copy of bits.T adds row * v_i (+-0.0 where unexcited)."""
+    added in chain order from +0.0.  The first h = _prefix_width(s, n) qubits come from
+    _prefix_table, gathered by each row's prefix (index, _prefix_index's, counted unless
+    given): 2^h - 1 < s adds, and on a full support (h = n) the table is the sums.  Each
+    of the n - h tail qubits' rows of one copy of bits.T then adds row * v_i; where it is
+    unexcited that is +-0.0, which leaves a sum (never -0.0) as the table leaves it."""
     m, n = values.shape
-    if len(bits) == 1 << n:
-        sums = np.zeros((m, 1))
-        for v in values.T[:, :, None]:
-            sums = np.stack((sums, sums + v), axis=2).reshape(m, -1)
-        return sums
-    sums = np.zeros((m, len(bits)))
+    h = _prefix_width(len(bits), n)
+    if h == n:
+        return _prefix_table(values)
+    if h:
+        index = _row_index(bits, h) if index is None else index
+        sums = np.take(_prefix_table(values[:, :h]), index, axis=1)
+        bits, values = bits[:, h:], values[:, h:]
+    else:
+        sums = np.zeros((m, len(bits)))
     for row, v in zip(np.ascontiguousarray(bits.T), values.T[:, :, None]):
         sums += row * v
     return sums
 
 
 def _evolution_terms(
-    bits: np.ndarray, config: ChainConfig, params: PhysParams, k: np.ndarray | None = None
+    bits: np.ndarray, config: ChainConfig, params: PhysParams, k: np.ndarray | None = None,
+    index: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evolution phase and H_G eigenvalue lambda_I of each row of an ascending bit matrix.
 
@@ -509,13 +575,14 @@ def _evolution_terms(
     modulo 4 pi, so it stays within n pi and is not rounded at the scale of
     a large f.  Both are half the all-qubit sum minus the sum over the
     excited qubits, one _excited_sums pass over the pair (turn_i, f_i - c).
-    k, each row's excitation count, is counted from bits unless given.
+    k, each row's excitation count, and index, _excited_sums' row index, are counted
+    from bits unless given.
     """
     turns = _turns(bits, config, params)
     n, f = config.n, config.f_array.tolist()
     c = math.fsum(f) / n
     centred = [fx - c for fx in f]
-    sums = _excited_sums(bits, np.array([turns, centred]))
+    sums = _excited_sums(bits, np.array([turns, centred]), index)
     k = _excitations(bits) if k is None else k
     return 0.5 * math.fsum(turns) - sums[0], 0.5 * math.fsum(centred) - sums[1] + c * (0.5 * n - k)
 
@@ -525,12 +592,13 @@ def evolve(state: State, config: ChainConfig, params: PhysParams) -> State:
 
     Each amplitude on bitstring I picks up exp(-i phase(I)) with
     phase(I) = gamma*B0*t*(N/2 - k(I)) + gamma*G*t*lambda_I, the phase of
-    _evolution_terms alone: one _excited_sums pass over the turns, doubled on
-    a full support.  The evolution is diagonal, so a mixed state's sector
-    columns are phased row by row and m is kept.
+    _evolution_terms alone: one _excited_sums pass over the turns, by the state's
+    prefix_index.  The evolution is diagonal, so a mixed state's sector columns are
+    phased row by row and m is kept.
     """
     turns = _turns(state.bits, config, params)
-    phase = 0.5 * math.fsum(turns) - _excited_sums(state.bits, np.array([turns]))[0]
+    phase = 0.5 * math.fsum(turns) - _excited_sums(state.bits, np.array([turns]),
+                                                   state.prefix_index)[0]
     re, im = np.cos(phase), -np.sin(phase)
     if isinstance(state, SparseState):
         return _frozen(SparseState, state.n_qubits, state.bits, _cmul(state.amps, re, im))

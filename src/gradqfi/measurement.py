@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ChainConfig, PhysParams, SparseState, State, _cmul, _evolution_terms, _fsum,
-                   _keys)
+                   _keys, _prefix_table, _row_index)
 from .errors import DimensionTooLarge, FlatResponse, LengthMismatch, OutOfRange, SelfCheckFailed
 from .qfi import FisherReport, _seq_sum
 
@@ -87,9 +87,10 @@ class OutcomeDistribution:
 
 def _complement_rows(bits: np.ndarray) -> tuple[np.ndarray | slice, np.ndarray | slice]:
     """Rows of an ascending bit matrix whose complement is a row too, ascending, and that
-    row: on a complement-closed support row I meets row s - 1 - I, as two slices; otherwise
-    each row's complement is searched among the rows' byte-string keys."""
-    if (bits[::-1] != bits).all():  # complementing reverses the ascending order
+    row: on a complement-closed support (a full one is, by construction) row I meets row
+    s - 1 - I, as two slices; otherwise each row's complement is searched among the rows'
+    byte-string keys."""
+    if len(bits) == 1 << bits.shape[1] or (bits[::-1] != bits).all():  # reversed by complement
         return slice(None), slice(None, None, -1)
     keys, flipped = _keys(bits), _keys(~bits)
     at = np.minimum(np.searchsorted(keys, flipped), len(keys) - 1)
@@ -114,7 +115,8 @@ def _parity_value_and_gradient(
     if not (present & present[::-1]).any():
         return 0.0, 0.0
     gt = params.gamma * params.t
-    phase, lam = _evolution_terms(state.bits, config, params, state.excitations)
+    phase, lam = _evolution_terms(state.bits, config, params, state.excitations,
+                                  state.prefix_index)
     re, im = np.cos(phase), -np.sin(phase)
     paired, at = _complement_rows(state.bits)
     if isinstance(state, SparseState):
@@ -197,13 +199,10 @@ def _walsh_hadamard(block: np.ndarray) -> np.ndarray:
 
 
 def _basis_excitations(n_qubits: int) -> np.ndarray:
-    """k(I), the set bits of every dense basis index I, doubled per bit as (k, k + 1)."""
+    """k(I), the set bits of every dense basis index I: the prefix table of ones at h = n."""
     if n_qubits > _DENSE_CAP_QUBITS:
         raise DimensionTooLarge(f"J_x distribution needs n <= {_DENSE_CAP_QUBITS}, got {n_qubits}")
-    k = np.zeros(1, dtype=np.intp)
-    for _ in range(n_qubits):
-        k = np.concatenate((k, k + 1))
-    return k
+    return _prefix_table(np.ones((1, n_qubits), dtype=np.intp))[0]
 
 
 def jx_distribution(
@@ -220,7 +219,8 @@ def jx_distribution(
     """
     n, gt = state.n_qubits, params.gamma * params.t
     counts = _basis_excitations(n)
-    phase, lam = _evolution_terms(state.bits, config, params, state.excitations)
+    phase, lam = _evolution_terms(state.bits, config, params, state.excitations,
+                                  state.prefix_index)
     if isinstance(state, SparseState):
         sector, basis, m = np.zeros(len(lam), np.intp), state.amps[:, None], np.ones((1, 1))
     else:
@@ -228,7 +228,7 @@ def jx_distribution(
     width = basis.shape[1]
     first = np.argmax((np.arange(len(m) // width)[:, None] == sector) & basis.any(axis=1), axis=1)
     q = _cmul(basis, np.cos(phase)[:, None], -np.sin(phase)[:, None])
-    index = state.bits @ (1 << np.arange(n - 1, -1, -1))  # qubit 1 is the most significant bit
+    index = _row_index(state.bits, n)  # qubit 1 is the most significant bit
     at = (index[:, None], (sector * width)[:, None] + np.arange(width))  # (index, column)
     block = np.zeros((1 << n, 2, len(m)), dtype=np.complex128)  # (index, X or Y, column)
     block[:, 0][at], block[:, 1][at] = q, _cmul(q, 0.0, -gt * (lam - lam[first][sector])[:, None])

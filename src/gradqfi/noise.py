@@ -22,6 +22,7 @@ error, and a trajectory costs three normals at any t.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +92,9 @@ def correlation_integral(model: NoiseModel, t: float) -> float:
     C(t) = 2 (delta_e tau_c)^2 (e^{-t/tau_c} + t/tau_c - 1).
 
     Accepts t = inf (C diverges linearly, so the limit is inf).  Where t / tau_c
-    overflows, C is its white-noise limit 2 delta_e^2 tau_c t.
+    overflows, C is its white-noise limit 2 delta_e^2 tau_c t.  Where (delta_e tau_c)^2
+    is 0 or subnormal, C is formed as 2 scale (scale (e^{-s} + s - 1)), scale = delta_e
+    tau_c, so that a large s keeps it from underflowing early.
     """
     if t < 0 or math.isnan(t):
         raise NegativeTime(f"t must be >= 0, got {t!r}")
@@ -101,6 +104,8 @@ def correlation_integral(model: NoiseModel, t: float) -> float:
     scale = model.delta_e * model.tau_c
     if s == math.inf:  # not scale^2 * inf: the limit 2 delta_e^2 tau_c t
         return s if t == s else 2.0 * scale * (model.delta_e * t)
+    if scale * scale < sys.float_info.min:  # 0 or subnormal
+        return 2.0 * scale * (scale * (math.expm1(-s) + s))
     return 2.0 * scale * scale * (math.expm1(-s) + s)
 
 

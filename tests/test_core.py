@@ -36,8 +36,9 @@ from gradqfi import (
     parity_distribution,
     steady_twirl,
 )
-from gradqfi.core import STATE_NAMES, _dicke_bits, _evolution_terms, _sector_spectral
-from gradqfi.measurement import _basis_excitations
+from gradqfi.core import (STATE_NAMES, _cmul, _dicke_bits, _evolution_terms, _excited_sums,
+                          _prefix_index, _row_index, _sector_spectral)
+from gradqfi.measurement import _basis_excitations, _complement_rows
 
 from conftest import (
     dense_rho,
@@ -665,3 +666,131 @@ def test_sector_spectral_clips_numerical_noise():
     state = _sector_spectral(1, one_qubit, np.full(2, 0.5**0.5, complex), [1.0, 1.0 + 2e-12])
     assert state.rank == 1
     assert state.eigenpairs[0][0] == pytest.approx(1.0)
+
+
+# ----------------------------------------------------------------------
+# row kernel: prefix table, row index and complex product
+# ----------------------------------------------------------------------
+
+
+def _loop_sums(bits, values):
+    """The per-qubit loop: each qubit's column adds column * v_i to every row, from +0.0."""
+    sums = np.zeros((len(values), len(bits)))
+    for row, v in zip(np.ascontiguousarray(bits.T), values.T[:, :, None]):
+        sums += row * v
+    return sums
+
+
+def _bits_of(index, n):
+    """Rows spelling the given ascending integers in binary, qubit 1 the most significant."""
+    return (np.asarray(index, dtype=np.int64)[:, None] >> np.arange(n - 1, -1, -1)) & 1 == 1
+
+
+@st.composite
+def supports(draw):
+    """An ascending support: one row, a full one, a random subset of rows, or a Dicke one."""
+    kind = draw(st.sampled_from(["single", "full", "subset", "dicke"]))
+    if kind == "full":
+        n = draw(st.integers(1, 14))
+        return _bits_of(np.arange(1 << n), n)
+    n = draw(st.integers(1, 24))
+    if kind == "dicke":
+        k = draw(st.integers(0, n).filter(lambda k: math.comb(n, k) <= 20000))
+        return _dicke_bits(n, k)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = 1 if kind == "single" else draw(st.integers(1, min(1 << n, 5000)))
+    return _bits_of(np.sort(rng.choice(1 << n, size=size, replace=False)), n)
+
+
+_magnitudes = st.floats(min_value=1e-300, max_value=1e300)
+_summands = st.one_of(st.sampled_from([0.0, -0.0]), _magnitudes, _magnitudes.map(lambda x: -x))
+
+
+@given(bits=supports(), data=st.data())
+def test_excited_sums_equal_the_per_qubit_loop_bytes(bits, data):
+    # the prefix table, its gathered index and the tail passes add each row's
+    # excited values in chain order from +0.0, exactly as the loop does
+    n = bits.shape[1]
+    m = data.draw(st.integers(1, 3))
+    values = np.array(data.draw(st.lists(_summands, min_size=m * n, max_size=m * n)))
+    values = values.reshape(m, n)
+    with np.errstate(over="ignore", invalid="ignore"):  # sums of 1e300s may reach inf - inf
+        want = _loop_sums(bits, values).view(np.int64)
+        got = _excited_sums(bits, values)
+        kept = _excited_sums(bits, values, _prefix_index(bits))
+    assert (got.view(np.int64) == want).all()
+    assert (kept.view(np.int64) == want).all()
+
+
+@given(bits=supports())
+def test_row_index_is_each_rows_binary_value(bits):
+    s, n = bits.shape
+    value = bits @ (1 << np.arange(n - 1, -1, -1))
+    assert _row_index(bits, n).tolist() == value.tolist()
+    index = _prefix_index(bits)
+    if s == 1 << n or s < 2048:  # a full support reads no index, a small one no table
+        assert index is None
+    else:
+        h = s.bit_length() - 1
+        assert index.tolist() == (value >> (n - h)).tolist()
+        assert index.dtype == np.intp and not index.flags.writeable
+
+
+_products = st.floats(min_value=-1e150, max_value=1e150)
+
+
+@given(a=st.lists(st.tuples(_products, _products), min_size=1, max_size=40),
+       factor=st.tuples(_products, _products))
+def test_cmul_rounds_as_cpythons_complex_product(a, factor):
+    # one factor for every entry, and a factor per entry (the reversed entries)
+    amps = np.array([complex(x, y) for x, y in a])
+    per_entry = amps[::-1].copy()
+    for re, im in (factor, (per_entry.real, per_entry.imag)):
+        res, ims = (np.broadcast_to(v, amps.shape).tolist() for v in (re, im))
+        want = [complex(x) * complex(r, i) for x, r, i in zip(amps.tolist(), res, ims)]
+        assert _cmul(amps, re, im).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+@pytest.mark.parametrize("name,n,kw", [
+    ("dicke", 14, {"k": 7}), ("dicke", 15, {"k": 5}), ("dicke", 17, {"k": 4}),
+])
+def test_table_path_terms_and_evolve_equal_the_per_row_reference_bytes(name, n, kw, offset):
+    rng = np.random.default_rng(3200 + n)
+    chain = make_chain(offset + np.sort(rng.uniform(0.0, 1.0, size=n)), x0=0.0)
+    params = random_params(rng, grad=float(rng.uniform(0.1, 1.0)))
+    state = make_named_state(name, n, **kw)
+    assert state.support_size >= 2048 and state.prefix_index is not None
+    want_phase, want_lam = reference_evolution_terms([b for b, _ in state.terms], chain, params)
+    phase, lam = _evolution_terms(state.bits, chain, params, state.excitations, state.prefix_index)
+    assert phase.tobytes() == want_phase.tobytes()
+    assert lam.tobytes() == want_lam.tobytes()
+    evolved = evolve(state, chain, params)
+    assert evolved.amps.tobytes() == reference_phased(state.amps, want_phase).tobytes()
+
+
+@pytest.mark.parametrize("make,has_index", [
+    (lambda: make_named_state("dicke", 14, k=7), True),
+    (lambda: make_named_state("dicke", 12, k=6), False),
+    (lambda: make_named_state("product", 9), False),
+    (lambda: make_named_state("dicke", 9, k=4), False),
+    (lambda: apply_channel(make_named_state("dicke", 10, k=4), NoiseModel(1.0, 1.0, 1.0), 0.4),
+     False),
+    (lambda: apply_channel(random_sparse(np.random.default_rng(3210), 13, size=2500),
+                           NoiseModel(1.0, 1.0, 1.0), 0.4), True),
+])
+def test_prefix_index_is_kept_once(make, has_index):
+    state = make()
+    index = state.prefix_index
+    assert (index is not None) == has_index
+    assert state.prefix_index is index
+
+
+def test_a_full_support_pairs_each_row_with_its_reversed_row():
+    assert _complement_rows(make_named_state("product", 6).bits) == (
+        slice(None), slice(None, None, -1))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_basis_excitations_count_the_set_bits_of_every_index(n):
+    assert _basis_excitations(n).tolist() == [bin(i).count("1") for i in range(1 << n)]

@@ -107,6 +107,34 @@ def test_an_overflowing_t_over_tau_c_gives_the_white_noise_limit(delta_e, tau_c,
     assert correlation_integral(model, math.inf) == math.inf
 
 
+@pytest.mark.parametrize("delta_e, tau_c, t", [
+    (1e-100, 1e-100, 1.0), (1e-160, 1.0, 1e20), (1e-155, 1e-5, 1e10), (1e-200, 1e-50, 1e150),
+])
+def test_an_underflowing_scale_squared_keeps_a_finite_t_over_tau_c(delta_e, tau_c, t):
+    # (delta_e tau_c)^2 is 0 or subnormal but t / tau_c is finite and large: C is
+    # 2 delta_e^2 tau_c^2 (t / tau_c - 1 + e^{-t / tau_c}), a normal float, not 0
+    model = NoiseModel(1.0, delta_e, tau_c)
+    s = Fraction(t) / Fraction(tau_c)
+    want = 2 * (Fraction(delta_e) * Fraction(tau_c)) ** 2 * (s - 1)  # e^{-s} is below 1e-4000
+    got = correlation_integral(model, t)
+    assert abs(Fraction(got) - want) <= Fraction(1, 10**12) * want
+
+
+def test_a_strong_coupling_decays_where_the_scale_squared_underflows():
+    model = NoiseModel(1e150, 1e-100, 1e-100)
+    assert correlation_integral(model, 1.0) == pytest.approx(2e-300, rel=1e-14)
+    assert coherence_factor(model, 1.0, 1) == pytest.approx(math.exp(-1.0), rel=1e-13)
+
+
+@pytest.mark.parametrize("delta_e, tau_c, t", [
+    (0.7, 1.3, 0.9), (1e-150, 1.0, 1e5), (2.0, 1e-3, 1e-6), (1e100, 1e50, 1e60),
+])
+def test_a_normal_scale_squared_keeps_the_product_order(delta_e, tau_c, t):
+    scale, s = delta_e * tau_c, t / tau_c
+    want = 2.0 * scale * scale * (math.expm1(-s) + s)
+    assert correlation_integral(NoiseModel(1.0, delta_e, tau_c), t) == want
+
+
 def test_correlation_integral_small_time_expansion():
     # C(t) = delta_e^2 t^2 (1 - t/(3 tau_c) + ...) for t << tau_c
     t = 1e-4 * MODEL.tau_c

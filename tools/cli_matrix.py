@@ -129,6 +129,17 @@ def invocations() -> list[tuple[str, ...]]:
         ("parity", "--state", "ghz", "--n", "3", "--gamma", "1e10", "--b0", "1e300", "--grad",
          "-1e300", "--x0", "-1"),
     ]
+    # supports of 2048 rows and more: a prefix table with tail qubits (Dicke, also far from
+    # x0 and dephased) and a full one (product)
+    runs += [
+        ("parity", "--state", "dicke", "--k", "10", "--n", "20", *POINT),
+        ("parity", "--state", "dicke", "--k", "9", "--n", "18", "--x0=-1e8", *POINT),
+        ("parity", "--scenario", "noisy", "--state", "dicke", "--k", "7", "--n", "14", *POINT),
+        ("parity", "--state", "product", "--n", "16", *POINT),
+    ]
+    # a coupling so strong that a coherence decays although (delta_e tau_c)^2 underflows
+    runs.append(("qfi", "--scenario", "noisy", "--state", "ghz", "--n", "2", "--gamma-prime",
+                 "5e149", "--delta-e", "1e-100", "--tau-c", "1e-90", "--t", "1"))
     return runs
 
 
