@@ -404,8 +404,7 @@ def _check_offset_insensitive(cfg: RunConfig) -> None:
     elif cfg.state == "dicke":  # one sector, on up to C(n, n/2) rows
         return
     else:
-        k = cfg.named_state().bits.sum(axis=1)
-        sectors = np.flatnonzero(np.bincount(k)).tolist()
+        sectors = np.flatnonzero(np.bincount(cfg.named_state().excitations)).tolist()
         if len(sectors) == 1:
             return
         detail = f"spans excitation sectors {sectors[0]} and {sectors[1]}"

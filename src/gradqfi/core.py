@@ -22,7 +22,8 @@ picks up, summed by _excited_sums (with lambda_I of H_G only for the readouts):
 the first floor(log2 s) qubits of s rows from a table of every prefix's sums,
 built by doubling and read through the row index the state keeps, then one
 pass over each later qubit's row (all n passes below 2048 rows, none on a full
-support).
+support).  A named probe state carries each row's count from construction; the row
+index, and any other state's counts, are counted from bits on first use.
 
 Public constructors check their input; the library builds its own states
 and chains through _frozen, unchecked.  Everything here is immutable and
@@ -59,14 +60,14 @@ NORM_TOL = 1e-12
 ORTHO_TOL = 1e-10
 
 
-def _frozen(obj, *values):
-    """Set a frozen dataclass's fields in declaration order, its arrays read-only.  Handed
-    a class, make a new instance with no check: for values that hold its invariants."""
+def _frozen(obj, *values, **kept):
+    """Set a frozen dataclass's fields in declaration order and the cached attributes kept,
+    arrays read-only.  Handed a class, make an instance unchecked, for values that fit it."""
     obj = obj.__new__(obj) if isinstance(obj, type) else obj
-    for value in values:
+    for value in (*values, *kept.values()):
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
-    obj.__dict__.update(zip(obj.__dataclass_fields__, values))
+    obj.__dict__.update(zip(obj.__dataclass_fields__, values), **kept)
     return obj
 
 
@@ -254,7 +255,7 @@ def _keys(bits: np.ndarray) -> np.ndarray:
 
 
 def _excitations(bits: np.ndarray) -> np.ndarray:
-    """Each row's excitation count, summed by einsum as int32 (2.7x a bool row sum), read-only."""
+    """Each row's count by an int32 einsum, read-only: 2-3x a bool row sum's speed at 1e5 rows."""
     k = np.einsum("ij->i", bits, dtype=np.int32)
     k.setflags(write=False)
     return k
@@ -283,9 +284,9 @@ class SparseState:
     bitstring order; amps holds each row's complex128 amplitude, a unit
     vector within 1e-12.  The constructor checks this and may keep, read-only,
     the arrays it is given; the library's own states are built unchecked.
-    excitations, each row's count as a read-only int32 vector, and prefix_index, the row
-    index _excited_sums gathers its prefix table by (None where it reads none), are kept on
-    first use.
+    excitations, each row's count as a read-only int32 vector, and prefix_index, the row index
+    _excited_sums gathers its prefix table by (None where it reads none), are kept: the counts
+    as make_named_state sets them, else each counted from bits on first use.
     """
 
     n_qubits: int
@@ -424,9 +425,8 @@ class SpectralState:
         for j, (rows, q, r) in enumerate(blocks):
             basis[rows, : q.shape[1]] = q
             r_all[j * width : j * width + len(r)] = r
-        _frozen(self, n_qubits, bits, sector, basis, (r_all * weights) @ r_all.conj().T)
-        vectors.setflags(write=False)  # the views are kept as given, with the counts
-        self.__dict__.update(eigenpairs=pairs, weights=weights, vectors=vectors, excitations=k)
+        _frozen(self, n_qubits, bits, sector, basis, (r_all * weights) @ r_all.conj().T,
+                eigenpairs=pairs, weights=weights, vectors=vectors, excitations=k)  # as given
 
     excitations = cached_property(lambda self: _excitations(self.bits))  # each row's, once
     prefix_index = cached_property(lambda self: _prefix_index(self.bits))  # shared, once
@@ -651,7 +651,8 @@ def make_named_state(name: str, n_qubits: int, *, k: int | None = None, m: int |
                 "use the closed-form paths instead"
             )
         amps = np.full(1 << n_qubits, 2.0 ** (-0.5 * n_qubits), complex)
-        return _frozen(SparseState, n_qubits, _product_bits(n_qubits), amps)
+        k = _prefix_table(np.ones((1, n_qubits), dtype=np.int32))[0]  # every index's popcount
+        return _frozen(SparseState, n_qubits, _product_bits(n_qubits), amps, excitations=k)
     if name == "odf" and 0 < k < n_qubits:
         return _two_branch(n_qubits, k, k)
     if name == "psi-m":
@@ -662,7 +663,8 @@ def make_named_state(name: str, n_qubits: int, *, k: int | None = None, m: int |
         raise SupportTooLarge(f"dicke state needs C({n_qubits},{k})={count} terms, "
                               "above the sparse cap")
     return _frozen(SparseState, n_qubits, _dicke_bits(n_qubits, k),
-                   np.full(count, 1.0 / math.sqrt(count), complex))
+                   np.full(count, 1.0 / math.sqrt(count), complex),
+                   excitations=np.full(count, k, np.int32))
 
 
 def _two_branch(n: int, first: int, last: int, amp_first: complex = _SQRT_HALF) -> SparseState:
@@ -670,7 +672,8 @@ def _two_branch(n: int, first: int, last: int, amp_first: complex = _SQRT_HALF) 
     bits = np.zeros((2, n), dtype=bool)
     bits[0, n - last :] = True
     bits[1, :first] = True
-    return _frozen(SparseState, n, bits, np.array((_SQRT_HALF, amp_first), dtype=np.complex128))
+    return _frozen(SparseState, n, bits, np.array((_SQRT_HALF, amp_first), dtype=np.complex128),
+                   excitations=np.array((last, first), dtype=np.int32))
 
 
 def _dicke_bits(n: int, k: int) -> np.ndarray:
@@ -739,7 +742,6 @@ def _sector_spectral(
     scale[occupied] = 1.0 / root
     unit = amps * scale[k]  # each row's entry of its sector's e_k
     sector = (np.cumsum(mass > 0) - 1)[k]  # its index among the occupied sectors
-    state = _frozen(SpectralState, n_qubits, bits, sector, unit[:, None], m)
-    state.__dict__["excitations"] = k  # counted here already
+    state = _frozen(SpectralState, n_qubits, bits, sector, unit[:, None], m, excitations=k)
     state._spectrum  # M's one eigh: refuses an M that is not positive, kept for the QFI
     return state

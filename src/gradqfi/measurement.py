@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ChainConfig, PhysParams, SparseState, State, _cmul, _evolution_terms, _fsum,
-                   _keys, _prefix_table, _row_index)
+                   _keys, _prefix_table, _prefix_width, _row_index)
 from .errors import DimensionTooLarge, FlatResponse, LengthMismatch, OutOfRange, SelfCheckFailed
 from .qfi import FisherReport, _seq_sum
 
@@ -98,6 +98,17 @@ def _complement_rows(bits: np.ndarray) -> tuple[np.ndarray | slice, np.ndarray |
     return paired, at[paired]
 
 
+def _reversed_by_complement(state: State) -> bool:
+    """Whether each row I's complement is row s - 1 - I: rows 0 and s - 1, then the state's
+    kept row index (False where it keeps none), then the tail columns."""
+    bits = state.bits
+    if not (bits[0] != bits[-1]).all() or state.prefix_index is None:
+        return False
+    h = _prefix_width(*bits.shape)
+    return bool((state.prefix_index[::-1] + state.prefix_index == (1 << h) - 1).all()
+                and all((col[::-1] != col).all() for col in bits.T[h:]))
+
+
 def _parity_value_and_gradient(
     state: State, config: ChainConfig, params: PhysParams
 ) -> tuple[float, float]:
@@ -111,14 +122,15 @@ def _parity_value_and_gradient(
     """
     if state.n_qubits != config.n:
         raise LengthMismatch(f"state has {state.n_qubits} qubits but chain has {config.n}")
-    present = np.bincount(state.excitations, minlength=state.n_qubits + 1) > 0
-    if not (present & present[::-1]).any():
-        return 0.0, 0.0
+    bits, closed = state.bits, _reversed_by_complement(state)
+    if not closed and len(bits) < 1 << state.n_qubits:  # else every row has a complement
+        present = np.bincount(state.excitations, minlength=state.n_qubits + 1) > 0
+        if not (present & present[::-1]).any():
+            return 0.0, 0.0
     gt = params.gamma * params.t
-    phase, lam = _evolution_terms(state.bits, config, params, state.excitations,
-                                  state.prefix_index)
+    phase, lam = _evolution_terms(bits, config, params, state.excitations, state.prefix_index)
     re, im = np.cos(phase), -np.sin(phase)
-    paired, at = _complement_rows(state.bits)
+    paired, at = (slice(None), slice(None, None, -1)) if closed else _complement_rows(bits)
     if isinstance(state, SparseState):
         amps = _cmul(state.amps, re, im)
         partner, amps = amps[at], amps[paired]

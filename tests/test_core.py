@@ -38,6 +38,7 @@ from gradqfi import (
 )
 from gradqfi.core import (STATE_NAMES, _cmul, _dicke_bits, _evolution_terms, _excited_sums,
                           _prefix_index, _row_index, _sector_spectral)
+from gradqfi.core import _excitations
 from gradqfi.measurement import _basis_excitations, _complement_rows
 
 from conftest import (
@@ -794,3 +795,31 @@ def test_a_full_support_pairs_each_row_with_its_reversed_row():
 @pytest.mark.parametrize("n", range(1, 13))
 def test_basis_excitations_count_the_set_bits_of_every_index(n):
     assert _basis_excitations(n).tolist() == [bin(i).count("1") for i in range(1 << n)]
+
+
+def _named_states(n):
+    """Every named state on n qubits: each k of odf and Dicke, each m of psi-m."""
+    yield make_named_state("ghz", n)
+    yield make_named_state("ghz-theta", n, theta=0.7)
+    yield make_named_state("product", n)
+    for k in range(n + 1):
+        yield make_named_state("odf", n, k=k)
+        yield make_named_state("dicke", n, k=k)
+        yield make_named_state("psi-m", n, m=k)
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_named_states_carry_the_counts_and_index_that_bits_give(n):
+    # make_named_state sets each row's count as it builds the rows; the counts and
+    # the row index must equal what counting the bit matrix gives
+    for state in _named_states(n):
+        assert "excitations" in state.__dict__  # kept from construction, not counted
+        k, want = state.excitations, _excitations(state.bits)
+        assert k is state.excitations
+        assert k.dtype == want.dtype and k.flags.writeable == want.flags.writeable
+        assert k.tobytes() == want.tobytes()
+        index, want = state.prefix_index, _prefix_index(state.bits)
+        assert (index is None) == (want is None)
+        if index is not None:
+            assert index.dtype == want.dtype and not index.flags.writeable
+            assert index.tobytes() == want.tobytes()

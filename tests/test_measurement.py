@@ -793,3 +793,83 @@ def test_strongly_dephased_ghz_jx_cfi_keeps_its_coherence(d):
         got = classical_fisher(jx_distribution(state, chain, params)).value
         assert want > 0.0
         assert rel_dev(got, want) < 1e-12, n
+
+
+def _support(prefixes, tails, n, h):
+    """The ascending rows (p, t) of every prefix p in prefixes and tail t in tails, with
+    h-bit prefixes and (n - h)-bit tails, and random amplitudes."""
+    rows = (np.asarray(prefixes)[:, None] << (n - h)) | np.asarray(tails)[None, :]
+    bits = (rows.reshape(-1, 1) >> np.arange(n - 1, -1, -1)) & 1 == 1
+    rng = np.random.default_rng(len(bits))
+    amps = rng.normal(size=len(bits)) + 1j * rng.normal(size=len(bits))
+    return SparseState(n, bits, amps / np.linalg.norm(amps))
+
+
+def _closed_prefixes(h, half):
+    low = np.arange(half)
+    return np.concatenate([low, (1 << h) - 1 - low[::-1]])
+
+
+def _one_prefix_moved(h, half):
+    """Complement-paired prefixes but one: the even prefixes below 2 half and their
+    complements, the fourth of those complements moved down by one."""
+    low = np.arange(0, 2 * half, 2)
+    high = (1 << h) - 1 - low[::-1]
+    high[3] -= 1
+    return np.concatenate([low, high])
+
+
+# n = 14 and 2048 <= s < 4096 rows read an 11-bit prefix and a 3-bit tail; in all but
+# the last, rows 0 and s - 1 are complements
+_INDEXED_SUPPORTS = {
+    "closed": (_closed_prefixes(11, 150), np.arange(8), True),
+    "prefixes-pair-tails-do-not": (_closed_prefixes(11, 350), np.array([0, 1, 7]), False),
+    "tails-pair-prefixes-do-not": (_one_prefix_moved(11, 150), np.arange(8), False),
+    "first-and-last-rows-do-not-pair": (_closed_prefixes(11, 150), np.arange(7), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INDEXED_SUPPORTS))
+def test_indexed_reversal_test_equals_the_row_compare_on_built_supports(name):
+    prefixes, tails, closed = _INDEXED_SUPPORTS[name]
+    state = _support(prefixes, tails, 14, 11)
+    bits = state.bits
+    assert 2048 <= len(bits) < 4096 and state.prefix_index is not None
+    assert bool((bits[::-1] != bits).all()) is closed
+    assert measurement._reversed_by_complement(state) is closed
+    pairs = measurement._complement_rows(bits)
+    assert isinstance(pairs[0], slice) is closed
+
+
+@pytest.mark.parametrize("seed", range(3310, 3322))
+def test_indexed_reversal_test_equals_the_row_compare_on_random_supports(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(12, 17))
+    rows = np.sort(rng.choice(1 << n, size=int(rng.integers(2048, 3000)), replace=False))
+    if seed % 2:  # complement-closed, else open with high probability
+        rows = np.union1d(rows, (1 << n) - 1 - rows)
+    bits = (rows[:, None] >> np.arange(n - 1, -1, -1)) & 1 == 1
+    state = SparseState(n, bits, np.full(len(bits), len(bits) ** -0.5, dtype=complex))
+    assert len(bits) >= 2048 and state.prefix_index is not None
+    want = bool((bits[::-1] != bits).all())
+    assert want is bool(seed % 2)
+    assert measurement._reversed_by_complement(state) is want
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+@pytest.mark.parametrize("make", [
+    lambda: make_named_state("dicke", 14, k=7),
+    lambda: _support(*_INDEXED_SUPPORTS["closed"][:2], 14, 11),
+    lambda: _support(*_INDEXED_SUPPORTS["prefixes-pair-tails-do-not"][:2], 14, 11),
+    lambda: _support(*_INDEXED_SUPPORTS["tails-pair-prefixes-do-not"][:2], 14, 11),
+    lambda: _support(*_INDEXED_SUPPORTS["first-and-last-rows-do-not-pair"][:2], 14, 11),
+    lambda: apply_channel(make_named_state("dicke", 14, k=7), NoiseModel(1.0, 1.0, 1.0), 0.4),
+])
+def test_parity_on_indexed_supports_equals_the_dict_pairing_bytes(make, offset):
+    state = make()
+    assert state.prefix_index is not None
+    rng = np.random.default_rng(3330)
+    chain = make_chain(offset + np.sort(rng.uniform(0.0, 1.0, size=state.n_qubits)), x0=0.0)
+    params = random_params(rng, grad=0.6)
+    got = measurement._parity_value_and_gradient(state, chain, params)
+    assert np.array(got).tobytes() == np.array(_dict_paired_parity(state, chain, params)).tobytes()
